@@ -14,12 +14,13 @@ per-node FC stack, "no_skip" drops the skip path.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, BatchNorm, concat, softmax_rows
+from .tensor import Tensor, BatchNorm, concat, gin, linear, softmax_rows
 from .topo_graph import TopoMap
 
 VARIANTS = ("full", "no_gclstm", "no_skip")
@@ -186,7 +187,7 @@ class HeadParams:
 def encode(params: EncoderParams, x: Tensor) -> Tensor:
     out = x
     for i, (w, b) in enumerate(params.layers):
-        out = out @ w + b
+        out = linear(out, w, b)
         if i < len(params.layers) - 1:
             out = out.relu()
     return out
@@ -196,8 +197,8 @@ def pair_features(params: PairNetParams, current_emb: Tensor, node_embs: Tensor)
     n = node_embs.shape[0]
     tiled = Tensor.const(np.ones((n, 1))) @ current_emb  # broadcast the query row
     z = concat([tiled, node_embs], axis=1)
-    a = (z @ params.w1 + params.b1).relu()
-    return a @ params.w2 + params.b2
+    a = linear(z, params.w1, params.b1).relu()
+    return linear(a, params.w2, params.b2)
 
 
 def _as_adjacency(x_rows, edges):
@@ -214,9 +215,7 @@ def _as_adjacency(x_rows, edges):
 
 def gin_aggregate(params: GINParams, x: Tensor, edges) -> Tensor:
     adj = _as_adjacency(x.shape[0], edges)
-    agg = x * (params.eps + 1.0) + adj @ x
-    h = (agg @ params.w1 + params.b1).relu()
-    return h @ params.w2 + params.b2
+    return gin(x, adj, params.eps, params.w1, params.b1, params.w2, params.b2)
 
 
 def gclstm_step(params: GCLSTMParams, x: Tensor, edges, state: GCLSTMState):
@@ -236,18 +235,18 @@ def gclstm_step(params: GCLSTMParams, x: Tensor, edges, state: GCLSTMState):
 
 
 def frame_forward(params: FrameNetParams, x: Tensor, training: bool) -> Tensor:
-    a = params.bn1(x @ params.w1 + params.b1, training).relu()
-    return params.bn2(a @ params.w2 + params.b2, training).relu()
+    a = params.bn1(linear(x, params.w1, params.b1), training).relu()
+    return params.bn2(linear(a, params.w2, params.b2), training).relu()
 
 
 def skip_path(params: SkipParams, x: Tensor) -> Tensor:
-    return x @ params.w + params.b
+    return linear(x, params.w, params.b)
 
 
 def identify_logits(params: HeadParams, h: Tensor, skip: Tensor | None, training: bool) -> Tensor:
     z = concat([h, skip], axis=1) if skip is not None else h
-    a = params.bn(z @ params.w1 + params.b1, training).relu()
-    return (a @ params.w2 + params.b2).reshape((h.shape[0],))
+    a = params.bn(linear(z, params.w1, params.b1), training).relu()
+    return linear(a, params.w2, params.b2).reshape((h.shape[0],))
 
 
 def identify(params: HeadParams, h: Tensor, skip: Tensor | None, training: bool) -> Tensor:
@@ -349,6 +348,9 @@ class Localizer:
 
     def load_state(self, params, buffers):
         own = self.named_params()
+        missing = sorted(own.keys() - params.keys())
+        if missing:
+            raise KeyError(f"checkpoint lacks parameters {missing}")
         for name, data in params.items():
             if name not in own:
                 raise KeyError(f"unknown parameter {name!r} in checkpoint")
@@ -370,33 +372,44 @@ class Localizer:
                 {k: np.array(v) for k, v in self.buffers().items()})
 
 
+def _inference(model: Localizer):
+    """Evaluation mode records no graph; training mode leaves recording as it is."""
+    return nullcontext() if model.training else T.no_grad()
+
+
 def make_context(model: Localizer, topo: TopoMap) -> MapContext:
-    node_embs = encode(model.encoder, Tensor.const(topo.descriptors))
+    with _inference(model):
+        node_embs = encode(model.encoder, Tensor.const(topo.descriptors))
     return MapContext(node_embs, Tensor.const(topo.undirected_adjacency_matrix()))
 
 
 def localize_step(model: Localizer, state: GCLSTMState, observation, topo: TopoMap,
                   ctx: MapContext | None = None, return_logits=False):
-    """One observation in: per-node probabilities, argmax node, next state out."""
+    """One observation in: per-node probabilities, argmax node, next state out.
+
+    In evaluation mode the step records no graph, so the returned state
+    carries no history of earlier steps.
+    """
     obs = np.asarray(observation, dtype=np.float64)
     if obs.shape != (model.cfg.d_obs,):
         raise ValueError(f"observation shape {obs.shape} does not match d_obs={model.cfg.d_obs}")
+    if not np.all(np.isfinite(obs)):
+        raise ValueError("observation contains non-finite values")
     if topo.descriptors.shape[1] != model.cfg.d_obs:
         raise ValueError("map descriptor dimension does not match model")
     if ctx is None:
         ctx = make_context(model, topo)
-    cur_emb = encode(model.encoder, Tensor.const(obs.reshape(1, -1)))
-    x = pair_features(model.pair, cur_emb, ctx.node_embs)
-    if model.cfg.variant == "no_gclstm":
-        h = frame_forward(model.frame, x, model.training)
-        new_state = state
-    else:
-        h, new_state = gclstm_step(model.gclstm, x, ctx.adj, state)
-    skip = skip_path(model.skip, x) if model.skip is not None else None
-    logits = identify_logits(model.head, h, skip, model.training)
-    probs = softmax_rows(logits)
-    if not model.training and model.cfg.variant != "no_gclstm":
-        new_state = GCLSTMState(new_state.h.detach(), new_state.c.detach())
+    with _inference(model):
+        cur_emb = encode(model.encoder, Tensor.const(obs.reshape(1, -1)))
+        x = pair_features(model.pair, cur_emb, ctx.node_embs)
+        if model.cfg.variant == "no_gclstm":
+            h = frame_forward(model.frame, x, model.training)
+            new_state = state
+        else:
+            h, new_state = gclstm_step(model.gclstm, x, ctx.adj, state)
+        skip = skip_path(model.skip, x) if model.skip is not None else None
+        logits = identify_logits(model.head, h, skip, model.training)
+        probs = softmax_rows(logits)
     pred = int(np.argmax(probs.data))
     if return_logits:
         return probs, pred, new_state, logits

@@ -1,28 +1,76 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
-Small tape-free autograd: every operation returns a Tensor that remembers
-its parents and a closure accumulating adjoints into them.  backward()
-walks the graph once in reverse topological order.  Only the handful of
-primitives needed by the localizer network are provided.
+Small tape-free autograd.  An operation whose inputs include a tensor that
+requires grad returns a Tensor that remembers those inputs and a closure
+accumulating adjoints into them; other operations, and every operation
+inside a ``no_grad()`` block, return a plain value with no graph.  Closures
+capture input tensors and arrays, never their own output, so a graph holds
+no reference cycle and is freed by reference counting.
+
+backward() visits graph nodes in decreasing creation order, which is a
+reverse topological order because every tensor is created after its
+inputs.  It releases each node's parents and closure as soon as the node's
+adjoint has been pushed to them, so the graph is freed while backward()
+runs; a second backward() through the same graph raises RuntimeError.
+
+Besides elementwise, reduction and reshaping primitives, two fused ops
+carry the localizer's layers with one node each: ``linear(x, W, b)`` and
+``gin(x, adj, eps, W1, b1, W2, b2)``.  They compute the forward in the same
+operation order as the unfused expression, so their values are bit-identical.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
-import math
+from contextlib import contextmanager
 
 import numpy as np
+
+_creation_index = itertools.count()
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Within the block, operations record no graph: outputs never require grad."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
+def _recording(*inputs):
+    """Whether an op over `inputs` must record its parents and backward closure."""
+    if _grad_enabled:
+        for t in inputs:
+            if t.requires_grad:
+                return True
+    return False
+
+
+_FREED = "backward() through a graph that an earlier backward() has freed"
+
+
+def _released(g):
+    raise RuntimeError(_FREED)
 
 
 class Tensor:
     """A float64 ndarray plus the bookkeeping for reverse-mode autodiff."""
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward",
-                 "_grad_owned")
+                 "_grad_owned", "_index")
 
     def __init__(self, data, requires_grad=False, name=None, _parents=(), _backward=None):
         if not (isinstance(data, np.ndarray) and data.dtype == np.float64):
             data = np.asarray(data, dtype=np.float64)
+        if _parents and not requires_grad:
+            requires_grad = any(p.requires_grad for p in _parents)
         self.data = data
         self.grad = None
         self.requires_grad = requires_grad
@@ -30,6 +78,13 @@ class Tensor:
         self._parents = _parents
         self._backward = _backward
         self._grad_owned = False
+        self._index = next(_creation_index)
+
+    def _record(self, inputs, backward):
+        """Make this op output a graph node over the inputs that require grad."""
+        self.requires_grad = True
+        self._parents = tuple(t for t in inputs if t.requires_grad)
+        self._backward = backward
 
     # -- construction helpers ------------------------------------------------
 
@@ -48,9 +103,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    def detach(self):
-        return Tensor(self.data.copy())
 
     def item(self):
         return float(self.data)
@@ -75,26 +127,25 @@ class Tensor:
     def backward(self):
         if self.data.shape not in ((), (1,)):
             raise ValueError(f"backward() needs a scalar loss, got shape {self.data.shape}")
-        order = []
-        seen = set()
-        stack = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen:
-                    stack.append((p, False))
+        if self._backward is _released:
+            raise RuntimeError(_FREED)
         self.grad = np.ones_like(self.data)
         self._grad_owned = True
-        for node in reversed(order):
-            if node._backward is not None:
-                node._backward(node.grad)
+        if self._backward is None:
+            return
+        # max-heap on creation index: a node is popped only after every node
+        # created from it, i.e. after all contributions to its adjoint
+        pending = {self._index: self}
+        heap = [-self._index]
+        while heap:
+            node = pending.pop(-heapq.heappop(heap))
+            node._backward(node.grad)
+            for p in node._parents:
+                if p._backward is not None and p._index not in pending:
+                    pending[p._index] = p
+                    heapq.heappush(heap, -p._index)
+            node._parents = ()
+            node._backward = _released
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -103,102 +154,139 @@ class Tensor:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = Tensor(self.data + other.data, _parents=(self, other))
-        def bwd(g):
-            self._accum(_unbroadcast(g, self.data.shape))
-            other._accum(_unbroadcast(g, other.data.shape))
-        out._backward = bwd
+        out = Tensor(self.data + other.data)
+        if _recording(self, other):
+            def bwd(g):
+                if self.requires_grad:
+                    self._accum(_unbroadcast(g, self.data.shape))
+                if other.requires_grad:
+                    other._accum(_unbroadcast(g, other.data.shape))
+            out._record((self, other), bwd)
         return out
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.data, _parents=(self,))
-        out._backward = lambda g: self._accum(-g)
+        out = Tensor(-self.data)
+        if _recording(self):
+            out._record((self,), lambda g: self._accum(-g))
         return out
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        out = Tensor(self.data - other.data)
+        if _recording(self, other):
+            def bwd(g):
+                if self.requires_grad:
+                    self._accum(_unbroadcast(g, self.data.shape))
+                if other.requires_grad:
+                    other._accum(_unbroadcast(-g, other.data.shape))
+            out._record((self, other), bwd)
+        return out
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return self._coerce(other) - self
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out = Tensor(self.data * other.data, _parents=(self, other))
-        def bwd(g):
-            self._accum(_unbroadcast(g * other.data, self.data.shape))
-            other._accum(_unbroadcast(g * self.data, other.data.shape))
-        out._backward = bwd
+        out = Tensor(self.data * other.data)
+        if _recording(self, other):
+            def bwd(g):
+                if self.requires_grad:
+                    self._accum(_unbroadcast(g * other.data, self.data.shape))
+                if other.requires_grad:
+                    other._accum(_unbroadcast(g * self.data, other.data.shape))
+            out._record((self, other), bwd)
         return out
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        out = Tensor(self.data / other.data, _parents=(self, other))
-        def bwd(g):
-            self._accum(_unbroadcast(g / other.data, self.data.shape))
-            other._accum(_unbroadcast(-g * self.data / other.data ** 2, other.data.shape))
-        out._backward = bwd
+        out = Tensor(self.data / other.data)
+        if _recording(self, other):
+            def bwd(g):
+                if self.requires_grad:
+                    self._accum(_unbroadcast(g / other.data, self.data.shape))
+                if other.requires_grad:
+                    other._accum(_unbroadcast(-g * self.data / other.data ** 2,
+                                              other.data.shape))
+            out._record((self, other), bwd)
         return out
 
     def __matmul__(self, other):
         other = self._coerce(other)
-        out = Tensor(self.data @ other.data, _parents=(self, other))
-        def bwd(g):
-            self._accum(g @ other.data.T)
-            other._accum(self.data.T @ g)
-        out._backward = bwd
+        out = Tensor(self.data @ other.data)
+        if _recording(self, other):
+            def bwd(g):
+                if self.requires_grad:
+                    self._accum(g @ other.data.T)
+                if other.requires_grad:
+                    other._accum(self.data.T @ g)
+            out._record((self, other), bwd)
         return out
 
     def pow(self, exponent):
-        out = Tensor(self.data ** exponent, _parents=(self,))
-        out._backward = lambda g: self._accum(g * exponent * self.data ** (exponent - 1))
+        out = Tensor(self.data ** exponent)
+        if _recording(self):
+            out._record((self,), lambda g: self._accum(
+                g * exponent * self.data ** (exponent - 1)))
         return out
 
     def sqrt(self):
-        out = Tensor(np.sqrt(self.data), _parents=(self,))
-        out._backward = lambda g: self._accum(g * 0.5 / np.sqrt(self.data))
+        out = Tensor(np.sqrt(self.data))
+        if _recording(self):
+            root = out.data
+            out._record((self,), lambda g: self._accum(g * 0.5 / root))
         return out
 
     def exp(self):
-        out = Tensor(np.exp(self.data), _parents=(self,))
-        out._backward = lambda g: self._accum(g * out.data)
+        out = Tensor(np.exp(self.data))
+        if _recording(self):
+            e = out.data
+            out._record((self,), lambda g: self._accum(g * e))
         return out
 
     def log(self):
-        out = Tensor(np.log(self.data), _parents=(self,))
-        out._backward = lambda g: self._accum(g / self.data)
+        out = Tensor(np.log(self.data))
+        if _recording(self):
+            out._record((self,), lambda g: self._accum(g / self.data))
         return out
 
     # -- activations ---------------------------------------------------------
 
     def relu(self):
-        out = Tensor(np.maximum(self.data, 0.0), _parents=(self,))
-        out._backward = lambda g: self._accum(g * (self.data > 0.0))
+        out = Tensor(np.maximum(self.data, 0.0))
+        if _recording(self):
+            out._record((self,), lambda g: self._accum(g * (self.data > 0.0)))
         return out
 
     def sigmoid(self):
-        out = Tensor(1.0 / (1.0 + np.exp(-self.data)), _parents=(self,))
-        out._backward = lambda g: self._accum(g * out.data * (1.0 - out.data))
+        out = Tensor(1.0 / (1.0 + np.exp(-self.data)))
+        if _recording(self):
+            s = out.data
+            out._record((self,), lambda g: self._accum(g * s * (1.0 - s)))
         return out
 
     def tanh(self):
-        out = Tensor(np.tanh(self.data), _parents=(self,))
-        out._backward = lambda g: self._accum(g * (1.0 - out.data ** 2))
+        out = Tensor(np.tanh(self.data))
+        if _recording(self):
+            t = out.data
+            out._record((self,), lambda g: self._accum(g * (1.0 - t ** 2)))
         return out
 
     # -- reductions / reshaping ---------------------------------------------
 
     def sum(self, axis=None):
-        out = Tensor(self.data.sum(axis=axis), _parents=(self,))
-        def bwd(g):
-            if axis is None:
-                self._accum(np.full_like(self.data, 1.0) * g)
-            else:
-                self._accum(np.broadcast_to(np.expand_dims(g, axis), self.data.shape).copy())
-        out._backward = bwd
+        out = Tensor(self.data.sum(axis=axis))
+        if _recording(self):
+            def bwd(g):
+                if axis is None:
+                    self._accum(np.full_like(self.data, 1.0) * g)
+                else:
+                    self._accum(np.broadcast_to(np.expand_dims(g, axis),
+                                                self.data.shape).copy())
+            out._record((self,), bwd)
         return out
 
     def sum_rows(self):
@@ -210,27 +298,20 @@ class Tensor:
         return self.sum(axis=axis) * (1.0 / n)
 
     def reshape(self, shape):
-        out = Tensor(self.data.reshape(shape), _parents=(self,))
-        out._backward = lambda g: self._accum(g.reshape(self.data.shape))
+        out = Tensor(self.data.reshape(shape))
+        if _recording(self):
+            out._record((self,), lambda g: self._accum(g.reshape(self.data.shape)))
         return out
 
     def pick(self, index):
         """Select one element of a 1-D tensor as a scalar."""
-        out = Tensor(self.data[index], _parents=(self,))
-        def bwd(g):
-            full = np.zeros_like(self.data)
-            full[index] = g
-            self._accum(full)
-        out._backward = bwd
-        return out
-
-    def slice_rows(self, start, stop):
-        out = Tensor(self.data[start:stop], _parents=(self,))
-        def bwd(g):
-            full = np.zeros_like(self.data)
-            full[start:stop] = g
-            self._accum(full)
-        out._backward = bwd
+        out = Tensor(self.data[index])
+        if _recording(self):
+            def bwd(g):
+                full = np.zeros_like(self.data)
+                full[index] = g
+                self._accum(full)
+            out._record((self,), bwd)
         return out
 
 
@@ -248,17 +329,68 @@ def _unbroadcast(grad, shape):
 
 def concat(tensors, axis=0):
     datas = [t.data for t in tensors]
-    out = Tensor(np.concatenate(datas, axis=axis), _parents=tuple(tensors))
-    sizes = [d.shape[axis] for d in datas]
-    def bwd(g):
-        offset = 0
-        for t, s in zip(tensors, sizes):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(offset, offset + s)
-            t._accum(g[tuple(idx)])
-            offset += s
-    out._backward = bwd
+    out = Tensor(np.concatenate(datas, axis=axis))
+    if _recording(*tensors):
+        sizes = [d.shape[axis] for d in datas]
+        def bwd(g):
+            offset = 0
+            for t, s in zip(tensors, sizes):
+                if t.requires_grad:
+                    idx = [slice(None)] * g.ndim
+                    idx[axis] = slice(offset, offset + s)
+                    t._accum(g[tuple(idx)])
+                offset += s
+        out._record(tensors, bwd)
     return out
+
+
+# -- fused layers --------------------------------------------------------------
+
+
+def linear(x, w, b):
+    """``x @ w + b`` as one graph node."""
+    out = Tensor(x.data @ w.data + b.data)
+    if _recording(x, w, b):
+        def bwd(g):
+            if x.requires_grad:
+                x._accum(g @ w.data.T)
+            if w.requires_grad:
+                w._accum(x.data.T @ g)
+            if b.requires_grad:
+                b._accum(_unbroadcast(g, b.data.shape))
+        out._record((x, w, b), bwd)
+    return out
+
+
+def gin(x, adj, eps, w1, b1, w2, b2):
+    """GIN layer ``relu(((1 + eps) x + adj @ x) @ w1 + b1) @ w2 + b2`` as one graph node."""
+    scale = eps.data + 1.0
+    agg = x.data * scale + adj.data @ x.data
+    hidden = np.maximum(agg @ w1.data + b1.data, 0.0)
+    out = Tensor(hidden @ w2.data + b2.data)
+    if _recording(x, adj, eps, w1, b1, w2, b2):
+        def bwd(g):
+            if w2.requires_grad:
+                w2._accum(hidden.T @ g)
+            if b2.requires_grad:
+                b2._accum(_unbroadcast(g, b2.data.shape))
+            g = (g @ w2.data.T) * (hidden > 0.0)
+            if w1.requires_grad:
+                w1._accum(agg.T @ g)
+            if b1.requires_grad:
+                b1._accum(_unbroadcast(g, b1.data.shape))
+            g = g @ w1.data.T
+            if eps.requires_grad:
+                eps._accum(_unbroadcast(g * x.data, eps.data.shape))
+            if x.requires_grad:
+                x._accum(g * scale + adj.data.T @ g)
+            if adj.requires_grad:
+                adj._accum(g @ x.data.T)
+        out._record((x, adj, eps, w1, b1, w2, b2), bwd)
+    return out
+
+
+# -- losses and normalization --------------------------------------------------
 
 
 def softmax_rows(x):

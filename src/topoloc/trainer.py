@@ -16,7 +16,7 @@ import numpy as np
 
 from . import localizer as L
 from .map_sampler import sample_submap
-from .tensor import Adam, Tensor, cross_entropy
+from .tensor import Adam, Tensor, cross_entropy, no_grad
 from .topo_graph import MapConfig, TopoMap, build_map_real, nearest_node
 
 SIM = "sim"
@@ -156,7 +156,8 @@ def _draw_window(sample: Sample, tau: int, rng) -> Sample:
 
 def validation_loss(model, val_samples, cfg, seed=12345):
     rng = np.random.default_rng(seed)
-    losses = [sequence_loss(model, s, cfg, rng).item() for s in val_samples]
+    with no_grad():
+        losses = [sequence_loss(model, s, cfg, rng).item() for s in val_samples]
     return float(np.mean(losses))
 
 

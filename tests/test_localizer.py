@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import topoloc.localizer as L
+from topoloc import tensor as T
 from topoloc.tensor import Tensor, grad_check, cross_entropy
 from topoloc.topo_graph import MapConfig, Pose2D, TopoMap
 
@@ -403,3 +404,25 @@ def test_checkpoint_roundtrip_preserves_predictions(tmp_path):
     clone = L.Localizer.from_checkpoint(path).eval()
     cprobs, _, _ = L.localize_step(clone, L.reset_state(5, cfg.d_h), obs, topo)
     assert np.array_equal(probs.data, cprobs.data)
+
+
+def test_checkpoint_missing_parameter_rejected(tmp_path):
+    model = L.Localizer(small_cfg(), seed=47)
+    path = tmp_path / "model.json"
+    model.save(path)
+    params, buffers, manifest = T.load_checkpoint(path)
+    del params["head.1.W"]
+    with pytest.raises(KeyError, match="head.1.W"):
+        L.Localizer(L.LocalizerConfig.from_dict(manifest), seed=48).load_state(params, buffers)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_localize_step_rejects_non_finite_observation(bad):
+    cfg = small_cfg()
+    model = L.Localizer(cfg, seed=49).eval()
+    topo = random_map(5, cfg.d_obs, seed=50)
+    obs = np.random.default_rng(51).normal(size=cfg.d_obs)
+    obs[2] = bad
+    state = L.reset_state(5, cfg.d_h)
+    with pytest.raises(ValueError, match="non-finite"):
+        L.localize_step(model, state, obs, topo)

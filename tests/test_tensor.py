@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 
@@ -5,10 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import topoloc.localizer as L
+import topoloc.trainer as TR
 from topoloc import tensor as T
 from topoloc.tensor import (Adam, BatchNorm, Tensor, batch_norm, concat,
-                            cross_entropy, grad_check, load_checkpoint,
-                            save_checkpoint, sgd_step, softmax_rows)
+                            cross_entropy, gin, grad_check, linear, load_checkpoint,
+                            no_grad, save_checkpoint, sgd_step, softmax_rows)
+from topoloc.topo_graph import MapConfig, TopoMap
 
 
 def test_sigmoid_tanh_at_zero():
@@ -172,3 +176,127 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(loaded_p["w"], params["w"].data)
     assert np.array_equal(loaded_p["b"], params["b"].data)
     assert np.array_equal(loaded_b["rm"], buffers["rm"])
+
+
+# -- fused layers ---------------------------------------------------------------
+
+
+def test_linear_matches_unfused_expression_and_finite_differences():
+    rng = np.random.default_rng(30)
+    x = Tensor.param(rng.normal(size=(5, 3)), name="x")
+    w = Tensor.param(rng.normal(size=(3, 4)), name="w")
+    b = Tensor.param(rng.normal(size=4), name="b")
+    assert np.array_equal(linear(x, w, b).data, (x @ w + b).data)
+    report = grad_check(lambda: linear(x, w, b).tanh().sum(), {"x": x, "w": w, "b": b})
+    assert max(report.values()) < 1e-6
+
+
+def gin_inputs(n, eps, seed):
+    rng = np.random.default_rng(seed)
+    return {
+        "x": Tensor.param(rng.normal(size=(n, 3)), name="x"),
+        "adj": Tensor.param(rng.normal(size=(n, n)), name="adj"),
+        "eps": Tensor.param(eps, name="eps"),
+        "w1": Tensor.param(rng.normal(size=(3, 6)), name="w1"),
+        "b1": Tensor.param(rng.normal(size=6), name="b1"),
+        "w2": Tensor.param(rng.normal(size=(6, 2)), name="w2"),
+        "b2": Tensor.param(rng.normal(size=2), name="b2"),
+    }
+
+
+@pytest.mark.parametrize("n, eps", [(1, 0.0), (1, 0.7), (6, 0.0), (6, -0.4)])
+def test_gin_matches_unfused_expression_and_finite_differences(n, eps):
+    p = gin_inputs(n, eps, seed=31 + n)
+    x, adj = p["x"], p["adj"]
+    unfused = ((x * (p["eps"] + 1.0) + adj @ x) @ p["w1"] + p["b1"]).relu() @ p["w2"] + p["b2"]
+    fused = gin(x, adj, p["eps"], p["w1"], p["b1"], p["w2"], p["b2"])
+    assert np.array_equal(fused.data, unfused.data)
+    report = grad_check(lambda: gin(*p.values()).tanh().sum(), p)
+    assert max(report.values()) < 1e-6
+
+
+# -- graph recording and release ----------------------------------------------------
+
+
+def test_no_grad_outputs_record_no_graph():
+    p = gin_inputs(4, 0.2, seed=40)
+    with no_grad():
+        outs = [p["x"] * 2.0, p["x"] - p["x"], (p["x"] @ p["w1"]).tanh(),
+                linear(p["x"], p["w1"], p["b1"]), gin(*p.values()),
+                softmax_rows(p["x"]), cross_entropy(p["b1"], 1)]
+    for out in outs:
+        assert out.requires_grad is False
+        assert out._parents == ()
+    assert (p["x"] * 2.0).requires_grad  # recording resumes after the block
+
+
+def test_constant_inputs_record_no_graph():
+    c = Tensor.const(np.ones((2, 2)))
+    out = (c * 3.0 + c).exp()
+    assert out.requires_grad is False and out._parents == ()
+
+
+def small_model_and_map(variant="full", n=6, seed=41):
+    cfg = L.LocalizerConfig(d_obs=4, d_emb=4, d_x=4, d_h=8, d_skip=4, enc_hidden=4,
+                            gin_hidden=8, head_hidden=8, variant=variant)
+    rng = np.random.default_rng(seed)
+    edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
+    topo = TopoMap(rng.normal(size=(n, cfg.d_obs)), None, edges, MapConfig())
+    return L.Localizer(cfg, seed=seed), topo, rng.normal(size=(5, cfg.d_obs))
+
+
+@pytest.mark.parametrize("variant", L.VARIANTS)
+def test_eval_step_without_graph_matches_recorded_step_bitwise(variant):
+    model, topo, observations = small_model_and_map(variant)
+
+    def run(training):
+        model.training = training
+        ctx = L.make_context(model, topo)
+        state = L.reset_state(topo.n, model.cfg.d_h)
+        steps = []
+        for obs in observations:
+            probs, _, state = L.localize_step(model, state, obs, topo, ctx)
+            steps.append((probs, state.h, state.c))
+        return steps
+
+    recorded, evaluated = run(True), run(False)
+    assert recorded[-1][0].requires_grad and not evaluated[-1][0].requires_grad
+    for rec, ev in zip(recorded, evaluated):
+        for a, b in zip(rec, ev):
+            assert np.array_equal(a.data, b.data)
+            assert b._parents == ()
+
+
+def test_backward_frees_graph_without_reference_cycles():
+    model, topo, observations = small_model_and_map(n=5)
+    sample = TR.Sample(observations, None, topo, [0, 1, 2, 3, 4], TR.REAL_LIKE)
+    cfg = TR.TrainConfig(tau=4, n_prime=5)
+    gc.collect()
+    saved = list(gc.garbage)
+    gc.garbage.clear()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        loss = TR.sequence_loss(model, sample, cfg, np.random.default_rng(0))
+        loss.backward()
+        del loss
+        gc.collect()
+        leaked = sum(1 for obj in gc.garbage if isinstance(obj, Tensor))
+    finally:
+        gc.set_debug(0)
+        gc.garbage[:] = saved
+        gc.enable()
+    assert leaked == 0
+    assert all(p.grad is not None for p in model.parameters())
+
+
+def test_second_backward_through_freed_graph_raises():
+    x = Tensor.param(np.array([0.5, -1.5]))
+    y = (x * x).sigmoid()
+    loss = y.sum()
+    loss.backward()
+    assert loss._parents == () and y._parents == ()
+    with pytest.raises(RuntimeError):
+        loss.backward()
+    with pytest.raises(RuntimeError):
+        (y * 2.0).sum().backward()
