@@ -130,6 +130,9 @@ def load_trajectories(path):
 def cmd_build_map(args):
     mc = MapConfig(**(_load_json(args.config, "config") if args.config else {}))
     domain, trajs = load_trajectories(args.trajectories)
+    if not 0 <= args.index < len(trajs):
+        raise CliError(f"--index {args.index} out of range: {args.trajectories} "
+                       f"holds {len(trajs)} trajectories")
     poses, obs = trajs[args.index]
     if args.style == "sim":
         topo = build_map_sim(list(zip(obs, poses)), mc)
@@ -256,8 +259,9 @@ def cmd_eval_nav(args):
 
 
 def _sample_goal(topo, start_node, rng, max_hops=12):
-    reachable = [i for i in range(topo.n)
-                 if i != start_node and 0 < topo.edge_distance(start_node, i) <= max_hops]
+    """A node 1..max_hops directed hops from start_node, so the planner can reach it."""
+    hops = topo.bfs(start_node, directed=True)[0]
+    reachable = [i for i in range(topo.n) if 0 < hops[i] <= max_hops]
     if not reachable:
         return start_node
     return int(reachable[rng.integers(len(reachable))])

@@ -149,8 +149,8 @@ class FrameNetParams:
     def init(cfg, rng):
         w1, b1 = _linear_init(rng, cfg.d_x, cfg.d_h, "frame.0")
         w2, b2 = _linear_init(rng, cfg.d_h, cfg.d_h, "frame.1")
-        bn1 = BatchNorm(cfg.d_h, name="frame.bn0", track_running_stats=False)
-        bn2 = BatchNorm(cfg.d_h, name="frame.bn1", track_running_stats=False)
+        bn1 = BatchNorm(cfg.d_h, name="frame.bn0")
+        bn2 = BatchNorm(cfg.d_h, name="frame.bn1")
         return FrameNetParams(w1, b1, bn1, w2, b2, bn2)
 
 
@@ -177,7 +177,7 @@ class HeadParams:
     def init(cfg, rng, d_in):
         w1, b1 = _linear_init(rng, d_in, cfg.head_hidden, "head.0")
         w2, b2 = _linear_init(rng, cfg.head_hidden, 1, "head.1")
-        bn = BatchNorm(cfg.head_hidden, name="head.bn", track_running_stats=False)
+        bn = BatchNorm(cfg.head_hidden, name="head.bn")
         return HeadParams(w1, b1, bn, w2, b2)
 
 
@@ -234,23 +234,23 @@ def gclstm_step(params: GCLSTMParams, x: Tensor, edges, state: GCLSTMState):
     return h, GCLSTMState(h, c)
 
 
-def frame_forward(params: FrameNetParams, x: Tensor, training: bool) -> Tensor:
-    a = params.bn1(linear(x, params.w1, params.b1), training).relu()
-    return params.bn2(linear(a, params.w2, params.b2), training).relu()
+def frame_forward(params: FrameNetParams, x: Tensor) -> Tensor:
+    a = params.bn1(linear(x, params.w1, params.b1)).relu()
+    return params.bn2(linear(a, params.w2, params.b2)).relu()
 
 
 def skip_path(params: SkipParams, x: Tensor) -> Tensor:
     return linear(x, params.w, params.b)
 
 
-def identify_logits(params: HeadParams, h: Tensor, skip: Tensor | None, training: bool) -> Tensor:
+def identify_logits(params: HeadParams, h: Tensor, skip: Tensor | None) -> Tensor:
     z = concat([h, skip], axis=1) if skip is not None else h
-    a = params.bn(linear(z, params.w1, params.b1), training).relu()
+    a = params.bn(linear(z, params.w1, params.b1)).relu()
     return linear(a, params.w2, params.b2).reshape((h.shape[0],))
 
 
-def identify(params: HeadParams, h: Tensor, skip: Tensor | None, training: bool) -> Tensor:
-    return softmax_rows(identify_logits(params, h, skip, training))
+def identify(params: HeadParams, h: Tensor, skip: Tensor | None) -> Tensor:
+    return softmax_rows(identify_logits(params, h, skip))
 
 
 def reset_state(n: int, d_h: int) -> GCLSTMState:
@@ -325,28 +325,15 @@ class Localizer:
     def named_params(self):
         return {p.name: p for p in self.parameters()}
 
-    def _batchnorms(self):
-        bns = [self.head.bn]
-        if self.frame is not None:
-            bns += [self.frame.bn1, self.frame.bn2]
-        return bns
-
-    def buffers(self):
-        out = {}
-        for bn in self._batchnorms():
-            out.update(bn.buffers())
-        return out
-
     def num_params(self):
         return sum(p.data.size for p in self.parameters())
 
     # -- persistence ---------------------------------------------------------
 
     def save(self, path):
-        T.save_checkpoint(path, self.named_params(), self.buffers(),
-                          manifest=self.cfg.to_dict())
+        T.save_checkpoint(path, self.named_params(), manifest=self.cfg.to_dict())
 
-    def load_state(self, params, buffers):
+    def load_state(self, params):
         own = self.named_params()
         missing = sorted(own.keys() - params.keys())
         if missing:
@@ -357,19 +344,16 @@ class Localizer:
             if tuple(own[name].data.shape) != tuple(data.shape):
                 raise ValueError(f"shape mismatch for {name!r}")
             own[name].data = data.copy()
-        for bn in self._batchnorms():
-            bn.load_buffers(buffers)
 
     @staticmethod
     def from_checkpoint(path):
-        params, buffers, manifest = T.load_checkpoint(path)
+        params, manifest = T.load_checkpoint(path)
         model = Localizer(LocalizerConfig.from_dict(manifest))
-        model.load_state(params, buffers)
+        model.load_state(params)
         return model
 
     def state_snapshot(self):
-        return ({k: p.data.copy() for k, p in self.named_params().items()},
-                {k: np.array(v) for k, v in self.buffers().items()})
+        return {k: p.data.copy() for k, p in self.named_params().items()}
 
 
 def _inference(model: Localizer):
@@ -403,12 +387,12 @@ def localize_step(model: Localizer, state: GCLSTMState, observation, topo: TopoM
         cur_emb = encode(model.encoder, Tensor.const(obs.reshape(1, -1)))
         x = pair_features(model.pair, cur_emb, ctx.node_embs)
         if model.cfg.variant == "no_gclstm":
-            h = frame_forward(model.frame, x, model.training)
+            h = frame_forward(model.frame, x)
             new_state = state
         else:
             h, new_state = gclstm_step(model.gclstm, x, ctx.adj, state)
         skip = skip_path(model.skip, x) if model.skip is not None else None
-        logits = identify_logits(model.head, h, skip, model.training)
+        logits = identify_logits(model.head, h, skip)
         probs = softmax_rows(logits)
     pred = int(np.argmax(probs.data))
     if return_logits:

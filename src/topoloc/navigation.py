@@ -1,21 +1,22 @@
 """Closed-loop navigation: localize, plan on the map, servo to subgoals.
 
 Each trial loops {render observation -> localize -> plan/subgoal -> control
-step} until arrival, collision, or timeout.  Planning is minimum-hop
-search over directed edges; control is a proportional heading/distance
-servo with capped velocities and segment-vs-wall collision checks.
+step} until arrival, collision, or timeout.  Planning follows the parents
+of the map's cached minimum-hop search over directed edges
+(`TopoMap.bfs`), so replanning from a node already searched from costs no
+new search; control is a proportional heading/distance servo with capped
+velocities and segment-vs-wall collision checks.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .simworld import World, render_observation, segment_intersects
-from .topo_graph import Pose2D, TopoMap, nearest_node, wrap_angle_deg
+from .topo_graph import UNREACHABLE, Pose2D, TopoMap, nearest_node, wrap_angle_deg
 
 SUCCESS = "success"
 COLLISION = "collision"
@@ -51,29 +52,14 @@ class TrialOutcome:
 
 def plan_dijkstra(topo: TopoMap, start: int, goal: int):
     """Minimum-hop directed path; neighbors expanded in ascending order."""
-    topo._check_id(start)
+    hops, parent = topo.bfs(start, directed=True)
     topo._check_id(goal)
-    if start == goal:
-        return [start]
-    succ = [[] for _ in range(topo.n)]
-    for s, t in topo.edges:
-        succ[s].append(t)
-    for lst in succ:
-        lst.sort()
-    parent = {start: None}
-    q = deque([start])
-    while q:
-        u = q.popleft()
-        for v in succ[u]:
-            if v not in parent:
-                parent[v] = u
-                if v == goal:
-                    path = [v]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    return path[::-1]
-                q.append(v)
-    raise ValueError(f"goal {goal} unreachable from {start}")
+    if hops[goal] == UNREACHABLE:
+        raise ValueError(f"goal {goal} unreachable from {start}")
+    path = [goal]
+    while path[-1] != start:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def next_subgoal(plan, current: int, topo: TopoMap) -> int:

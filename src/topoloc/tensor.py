@@ -428,48 +428,23 @@ def batch_norm(x, gamma, beta, eps=1e-5):
 
 
 class BatchNorm:
-    """Batch normalization with running statistics for evaluation mode.
+    """Batch normalization over the node (row) dimension with a learned affine.
 
-    With ``track_running_stats=False`` the current batch statistics are
-    used in both modes, which keeps the layer deterministic whenever the
-    full batch is available at evaluation time.
+    It always normalizes with the statistics of the batch it is given, in
+    training and in evaluation alike; a localizer's batch is the full set of
+    map nodes, so the output is deterministic and needs no running averages.
     """
 
-    def __init__(self, dim, momentum=0.1, eps=1e-5, name="bn",
-                 track_running_stats=True):
+    def __init__(self, dim, name="bn"):
         self.gamma = Tensor.param(np.ones(dim), name=f"{name}.gamma")
         self.beta = Tensor.param(np.zeros(dim), name=f"{name}.beta")
-        self.running_mean = np.zeros(dim)
-        self.running_var = np.ones(dim)
-        self.momentum = momentum
-        self.eps = eps
         self.name = name
-        self.track_running_stats = track_running_stats
 
-    def __call__(self, x, training):
-        if training or not self.track_running_stats:
-            if training and self.track_running_stats:
-                mu = x.data.mean(axis=0)
-                var = x.data.var(axis=0)
-                self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mu
-                self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
-            return batch_norm(x, self.gamma, self.beta, self.eps)
-        xc = x - Tensor.const(self.running_mean)
-        scale = Tensor.const(1.0 / np.sqrt(self.running_var + self.eps))
-        return xc * scale * self.gamma + self.beta
+    def __call__(self, x):
+        return batch_norm(x, self.gamma, self.beta)
 
     def params(self):
         return {f"{self.name}.gamma": self.gamma, f"{self.name}.beta": self.beta}
-
-    def buffers(self):
-        return {
-            f"{self.name}.running_mean": self.running_mean,
-            f"{self.name}.running_var": self.running_var,
-        }
-
-    def load_buffers(self, buffers):
-        self.running_mean = np.array(buffers[f"{self.name}.running_mean"])
-        self.running_var = np.array(buffers[f"{self.name}.running_var"])
 
 
 # -- optimizer ---------------------------------------------------------------
@@ -559,25 +534,21 @@ def grad_check(f, params, eps=1e-5):
 # -- checkpoint persistence --------------------------------------------------
 
 
-def save_checkpoint(path, params, buffers=None, manifest=None):
+def save_checkpoint(path, params, manifest=None):
     """Named-parameter flat file; float repr round-trips bit exactly."""
     blob = {
         "manifest": manifest or {},
         "params": {k: {"shape": list(p.data.shape), "data": p.data.reshape(-1).tolist()}
                    for k, p in params.items()},
-        "buffers": {k: {"shape": list(np.asarray(b).shape),
-                        "data": np.asarray(b).reshape(-1).tolist()}
-                    for k, b in (buffers or {}).items()},
     }
     with open(path, "w") as fh:
         json.dump(blob, fh)
 
 
 def load_checkpoint(path):
+    """(params, manifest); any other section of the file is ignored."""
     with open(path) as fh:
         blob = json.load(fh)
     params = {k: np.array(v["data"], dtype=np.float64).reshape(v["shape"])
               for k, v in blob["params"].items()}
-    buffers = {k: np.array(v["data"], dtype=np.float64).reshape(v["shape"])
-               for k, v in blob.get("buffers", {}).items()}
-    return params, buffers, blob.get("manifest", {})
+    return params, blob.get("manifest", {})

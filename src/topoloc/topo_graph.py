@@ -3,6 +3,11 @@
 A map is a directed graph whose nodes carry an observation descriptor and,
 for simulator-style maps, a planar pose.  Distance between poses combines
 Euclidean position with yaw difference weighted by omega_m.
+
+`TopoMap.bfs` is the one graph search: hop counts and the first-discovery
+parents from a source, over directed edges or over edges in either
+direction.  Each search runs on first request and is cached on the map, so
+hop distances (`edge_distance`), navigation plans and goal sampling share it.
 """
 
 from __future__ import annotations
@@ -105,9 +110,12 @@ class TopoMap:
         self.edges = [(int(s), int(t)) for s, t in edges]
         self.config = config
         self._adj = [set() for _ in range(n)]
+        self._succ = [set() for _ in range(n)]
         for s, t in self.edges:
+            self._succ[s].add(t)
             self._adj[s].add(t)
             self._adj[t].add(s)
+        self._searches = {}
 
     @property
     def n(self):
@@ -126,23 +134,38 @@ class TopoMap:
         self._check_id(i)
         return sorted(self._adj[i])
 
+    def bfs(self, source, directed=False):
+        """Breadth-first search from `source`: a (hops, parent) pair of tuples.
+
+        Successors are expanded in ascending node order, along directed edges
+        when `directed` and along edges in either direction otherwise.
+        `parent[v]` is the node v was first reached from (None for the source
+        and for unreached nodes); `hops[v]` is UNREACHABLE when v cannot be
+        reached.  The result is computed on first request and cached.
+        """
+        self._check_id(source)
+        key = (source, directed)
+        if key not in self._searches:
+            succ = self._succ if directed else self._adj
+            hops = [UNREACHABLE] * self.n
+            parent = [None] * self.n
+            hops[source] = 0
+            q = deque([source])
+            while q:
+                u = q.popleft()
+                for v in sorted(succ[u]):
+                    if hops[v] == UNREACHABLE:
+                        hops[v] = hops[u] + 1
+                        parent[v] = u
+                        q.append(v)
+            self._searches[key] = (tuple(hops), tuple(parent))
+        return self._searches[key]
+
     def edge_distance(self, a, b):
         """Minimum undirected hop count; UNREACHABLE when no path exists."""
         self._check_id(a)
         self._check_id(b)
-        if a == b:
-            return 0
-        dist = {a: 0}
-        q = deque([a])
-        while q:
-            u = q.popleft()
-            for v in self._adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    if v == b:
-                        return dist[v]
-                    q.append(v)
-        return UNREACHABLE
+        return self.bfs(a)[0][b]
 
     def undirected_adjacency_matrix(self):
         a = np.zeros((self.n, self.n))
@@ -170,10 +193,11 @@ class TopoMap:
     def from_dict(d):
         nodes = d["nodes"]
         descriptors = np.array([nd["descriptor"] for nd in nodes], dtype=np.float64)
-        if nodes and nodes[0]["pose"] is not None:
-            poses = [Pose2D.from_dict(nd["pose"]) for nd in nodes]
-        else:
-            poses = None
+        with_pose = sum(1 for nd in nodes if nd["pose"] is not None)
+        if 0 < with_pose < len(nodes):
+            raise ValueError(f"{with_pose} of {len(nodes)} nodes carry a pose; "
+                             "a map needs a pose on every node or on none")
+        poses = [Pose2D.from_dict(nd["pose"]) for nd in nodes] if with_pose else None
         config = MapConfig.from_dict(d["config"]) if d.get("config") else None
         return TopoMap(descriptors, poses, [tuple(e) for e in d["edges"]], config)
 

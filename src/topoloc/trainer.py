@@ -202,5 +202,5 @@ def train(model: L.Localizer, sim_set, real_set, val_set, cfg: TrainConfig):
             since_best += 1
         if since_best >= cfg.patience_iters:
             break
-    model.load_state(*best_snapshot)
+    model.load_state(best_snapshot)
     return history

@@ -7,7 +7,9 @@ import os
 import numpy as np
 import pytest
 
-from topoloc.cli import main
+import topoloc.navigation as N
+from topoloc.cli import _sample_goal, main
+from topoloc.topo_graph import Pose2D, TopoMap
 
 
 @pytest.fixture(scope="module")
@@ -149,3 +151,25 @@ def test_train_rejects_untrainable_method(pipeline, tmp_path):
                  "--out", str(tmp_path), "--method", "ours",
                  "--config", str(tmp_path / "missing_cfg.json")])
     assert code == 2
+
+
+@pytest.mark.parametrize("index", ["1", "-1"])
+def test_build_map_index_out_of_range(pipeline, tmp_path, capsys, index):
+    # mapping.json holds a single trajectory
+    code = main(["build-map", "--trajectories", os.path.join(pipeline, "mapping.json"),
+                 "--out", str(tmp_path), "--index", index])
+    assert code == 2
+    assert "--index" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "map.json")
+
+
+def test_sampled_goals_are_plannable_on_one_way_chain():
+    n = 20
+    topo = TopoMap(np.zeros((n, 2)), [Pose2D(i, 0.0, 0.0) for i in range(n)],
+                   [(i, i + 1) for i in range(n - 1)])
+    rng = np.random.default_rng(8)
+    for _ in range(120):
+        start = int(rng.integers(n))
+        goal = _sample_goal(topo, start, rng)
+        assert goal == start or 0 < goal - start <= 12
+        N.plan_dijkstra(topo, start, goal)  # raises when the goal is unreachable

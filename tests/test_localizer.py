@@ -1,6 +1,8 @@
 """Network-layer tests: manual oracles for every stage, equivariance,
 edge-order invariance, and end-to-end gradient checks."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -253,7 +255,7 @@ def test_identify_uniform_for_identical_rows():
     model = L.Localizer(small_cfg(), seed=21)
     h = Tensor.const(np.tile(np.random.default_rng(22).normal(size=8), (5, 1)))
     skip = Tensor.const(np.tile(np.random.default_rng(23).normal(size=4), (5, 1)))
-    probs = L.identify(model.head, h, skip, training=False).data
+    probs = L.identify(model.head, h, skip).data
     np.testing.assert_allclose(probs, np.full(5, 0.2), atol=1e-9)
 
 
@@ -262,8 +264,8 @@ def test_identify_sums_to_one_and_argmax_matches_logits():
     rng = np.random.default_rng(25)
     h = Tensor.const(rng.normal(size=(7, 8)))
     skip = Tensor.const(rng.normal(size=(7, 4)))
-    logits = L.identify_logits(model.head, h, skip, training=False)
-    probs = L.identify(model.head, h, skip, training=False)
+    logits = L.identify_logits(model.head, h, skip)
+    probs = L.identify(model.head, h, skip)
     assert abs(float(np.sum(probs.data)) - 1.0) <= 1e-9
     assert int(np.argmax(probs.data)) == int(np.argmax(logits.data))
 
@@ -406,14 +408,40 @@ def test_checkpoint_roundtrip_preserves_predictions(tmp_path):
     assert np.array_equal(probs.data, cprobs.data)
 
 
+@pytest.mark.parametrize("variant", ["full", "no_gclstm"])
+def test_checkpoint_with_buffers_section_loads(tmp_path, variant):
+    # files written before BatchNorm lost its running statistics carry a
+    # "buffers" section; it is ignored and predictions are unchanged
+    cfg = small_cfg(variant=variant)
+    model = L.Localizer(cfg, seed=52).eval()
+    topo = random_map(5, cfg.d_obs, seed=53)
+    obs = np.random.default_rng(54).normal(size=cfg.d_obs)
+    probs, _, _ = L.localize_step(model, L.reset_state(5, cfg.d_h), obs, topo)
+    path = tmp_path / "model.json"
+    model.save(path)
+    with open(path) as fh:
+        blob = json.load(fh)
+    dims = {"head.bn": cfg.head_hidden}
+    if variant == "no_gclstm":
+        dims.update({"frame.bn0": cfg.d_h, "frame.bn1": cfg.d_h})
+    blob["buffers"] = {f"{bn}.{stat}": {"shape": [d], "data": [fill] * d}
+                       for bn, d in dims.items()
+                       for stat, fill in (("running_mean", 0.5), ("running_var", 2.0))}
+    with open(path, "w") as fh:
+        json.dump(blob, fh)
+    clone = L.Localizer.from_checkpoint(path).eval()
+    cprobs, _, _ = L.localize_step(clone, L.reset_state(5, cfg.d_h), obs, topo)
+    assert np.array_equal(probs.data, cprobs.data)
+
+
 def test_checkpoint_missing_parameter_rejected(tmp_path):
     model = L.Localizer(small_cfg(), seed=47)
     path = tmp_path / "model.json"
     model.save(path)
-    params, buffers, manifest = T.load_checkpoint(path)
+    params, manifest = T.load_checkpoint(path)
     del params["head.1.W"]
     with pytest.raises(KeyError, match="head.1.W"):
-        L.Localizer(L.LocalizerConfig.from_dict(manifest), seed=48).load_state(params, buffers)
+        L.Localizer(L.LocalizerConfig.from_dict(manifest), seed=48).load_state(params)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -3,6 +3,7 @@ subgoal selection, servo behavior, trial outcomes, and metric accounting."""
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -76,6 +77,69 @@ def test_plan_matches_bruteforce(seed):
     assert plan[0] == start and plan[-1] == goal
     for a, b in zip(plan, plan[1:]):
         assert (a, b) in set(edges)
+
+
+def reference_plan(topo, start, goal):
+    """The planner's own early-exit BFS from before it shared the map's search."""
+    if start == goal:
+        return [start]
+    succ = [[] for _ in range(topo.n)]
+    for s, t in topo.edges:
+        succ[s].append(t)
+    for lst in succ:
+        lst.sort()
+    parent = {start: None}
+    q = deque([start])
+    while q:
+        u = q.popleft()
+        for v in succ[u]:
+            if v not in parent:
+                parent[v] = u
+                if v == goal:
+                    path = [v]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    return path[::-1]
+                q.append(v)
+    raise ValueError(f"goal {goal} unreachable from {start}")
+
+
+def has_tied_shortest_paths(topo, edges):
+    """Some node is one hop past two different nodes of the previous BFS layer."""
+    for start in range(topo.n):
+        hops = {}
+        for v in range(topo.n):
+            try:
+                hops[v] = len(reference_plan(topo, start, v)) - 1
+            except ValueError:
+                pass
+        for v in hops:
+            if sum(1 for u, t in edges if t == v and hops.get(u) == hops[v] - 1) >= 2:
+                return True
+    return False
+
+
+def test_plan_matches_early_exit_reference_with_ties():
+    rng = np.random.default_rng(2024)
+    graphs = 0
+    while graphs < 300:
+        n = int(rng.integers(4, 13))
+        edges = [(i, j) for i in range(n) for j in range(n)
+                 if i != j and rng.random() < 0.3]
+        edges = [edges[k] for k in rng.permutation(len(edges))]  # unsorted edge list
+        topo = make_graph(n, edges)
+        if not has_tied_shortest_paths(topo, edges):
+            continue
+        graphs += 1
+        for start in range(n):
+            for goal in range(n):
+                try:
+                    expected = reference_plan(topo, start, goal)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        N.plan_dijkstra(topo, start, goal)
+                    continue
+                assert N.plan_dijkstra(topo, start, goal) == expected
 
 
 # -- subgoal selection -------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import topoloc.topo_graph as G
 from topoloc.topo_graph import (MapConfig, Pose2D, TopoMap, UNREACHABLE,
                                 build_map_real, build_map_sim, nearest_node,
                                 pose_distance, wrap_angle_deg)
@@ -286,6 +287,38 @@ def test_edge_distance_triangle_inequality():
                 assert m.edge_distance(a, c) <= m.edge_distance(a, b) + m.edge_distance(b, c)
 
 
+def test_bfs_directed_and_undirected_on_one_way_chain():
+    m = chain_map(4)  # edges 0->1->2->3
+    assert m.bfs(2, directed=True) == ((UNREACHABLE, UNREACHABLE, 0, 1), (None, None, None, 2))
+    assert m.bfs(2) == ((2, 1, 0, 1), (1, 2, None, 2))
+
+
+def test_bfs_parent_is_first_discovery_in_ascending_order():
+    # 0 reaches 3 through both 1 and 2; 3 is first reached from 1
+    m = TopoMap(np.zeros((4, 2)), None, [(0, 2), (2, 3), (0, 1), (1, 3)])
+    assert m.bfs(0, directed=True) == ((0, 1, 1, 2), (None, 0, 0, 1))
+
+
+def test_bfs_searches_once_per_source_and_direction(monkeypatch):
+    searches = []
+
+    def counting_deque(*args):
+        searches.append(args)
+        return deque(*args)
+
+    monkeypatch.setattr(G, "deque", counting_deque)
+    m = chain_map(5)
+    assert searches == []  # constructing a map runs no search
+    first = m.bfs(1)
+    assert m.bfs(1) is first
+    assert m.edge_distance(1, 4) == 3
+    assert len(searches) == 1
+    assert m.bfs(1, directed=True) is m.bfs(1, directed=True)
+    assert len(searches) == 2
+    with pytest.raises(IndexError):
+        m.bfs(-1)
+
+
 def test_neighbors_chain():
     assert chain_map(3).neighbors(1) == [0, 2]
 
@@ -342,3 +375,11 @@ def test_map_json_roundtrip_poseless(tmp_path):
     loaded = TopoMap.load(path)
     assert loaded.poses is None
     assert np.array_equal(loaded.descriptors, m.descriptors)
+
+
+@pytest.mark.parametrize("posed", [(True, False, True), (False, True, True)])
+def test_map_json_mixed_poses_rejected(posed):
+    nodes = [{"descriptor": [float(i)], "pose": pose(i).to_dict() if p else None}
+             for i, p in enumerate(posed)]
+    with pytest.raises(ValueError, match="pose"):
+        TopoMap.from_dict({"nodes": nodes, "edges": [[0, 1], [1, 2]], "config": None})
