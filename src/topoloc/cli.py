@@ -238,7 +238,7 @@ def cmd_eval_nav(args):
     for _ in range(args.trials):
         tseed = int(rng.integers(2 ** 31))
         trng = np.random.default_rng(tseed)
-        start_node = int(trng.integers(topo.n))
+        start_node = _sample_start(topo, trng)
         sp = topo.poses[start_node]
         start = Pose2D(sp.x, min(max(sp.y + trng.uniform(-0.3, 0.3),
                                      -world.spec.half_width + 0.2),
@@ -258,12 +258,25 @@ def cmd_eval_nav(args):
     print(f"wrote {path}")
 
 
-def _sample_goal(topo, start_node, rng, max_hops=12):
-    """A node 1..max_hops directed hops from start_node, so the planner can reach it."""
+def _goals(topo, start_node, max_hops=12):
+    """Nodes 1..max_hops directed hops from start_node, which the planner can reach."""
     hops = topo.bfs(start_node, directed=True)[0]
-    reachable = [i for i in range(topo.n) if 0 < hops[i] <= max_hops]
-    if not reachable:
-        return start_node
+    return [i for i in range(topo.n) if 0 < hops[i] <= max_hops]
+
+
+def _sample_start(topo, rng):
+    """A uniformly drawn start node that has a goal; other draws are redrawn."""
+    if not any(_goals(topo, s) for s in range(topo.n)):
+        raise CliError("no node of the map has a goal along its directed edges")
+    while True:
+        start_node = int(rng.integers(topo.n))
+        if _goals(topo, start_node):
+            return start_node
+
+
+def _sample_goal(topo, start_node, rng):
+    """A goal drawn uniformly from the nodes `_goals` allows for start_node."""
+    reachable = _goals(topo, start_node)
     return int(reachable[rng.integers(len(reachable))])
 
 

@@ -77,11 +77,6 @@ class ModelLocalizer:
         return pred
 
 
-def ablation_no_skip(cfg: L.LocalizerConfig, seed=0) -> L.Localizer:
-    variant_cfg = L.LocalizerConfig(**{**cfg.to_dict(), "variant": "no_skip"})
-    return L.Localizer(variant_cfg, seed=seed)
-
-
 def eval_run(localizer, observations, topo: TopoMap, targets, poses=None,
              omega_m=0.025, method=None, category="") -> EvalRow:
     """Run one trajectory and score AC / AC* / PE / ME against targets."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, BatchNorm, concat, gin, linear, softmax_rows
+from .tensor import Tensor, BatchNorm, concat, gclstm_cell, gin, linear, softmax_rows
 from .topo_graph import TopoMap
 
 VARIANTS = ("full", "no_gclstm", "no_skip")
@@ -220,17 +220,9 @@ def gin_aggregate(params: GINParams, x: Tensor, edges) -> Tensor:
 
 def gclstm_step(params: GCLSTMParams, x: Tensor, edges, state: GCLSTMState):
     adj = _as_adjacency(x.shape[0], edges)
-    g = params.gins
-    h_prev, c_prev = state.h, state.c
-    i = (gin_aggregate(g[0], x, adj) + gin_aggregate(g[1], h_prev, adj)
-         + params.w_ci * c_prev + params.b_i).sigmoid()
-    f = (gin_aggregate(g[2], x, adj) + gin_aggregate(g[3], h_prev, adj)
-         + params.w_cf * c_prev + params.b_f).sigmoid()
-    c = f * c_prev + i * (gin_aggregate(g[4], x, adj)
-                          + gin_aggregate(g[5], h_prev, adj) + params.b_c).tanh()
-    o = (gin_aggregate(g[6], x, adj) + gin_aggregate(g[7], h_prev, adj)
-         + params.w_co * c + params.b_o).sigmoid()
-    h = o * c.tanh()
+    gins = [(g.eps, g.w1, g.b1, g.w2, g.b2) for g in params.gins]
+    h, c = gclstm_cell(x, state.h, state.c, adj, gins, params.w_ci, params.w_cf,
+                       params.w_co, params.b_i, params.b_f, params.b_c, params.b_o)
     return h, GCLSTMState(h, c)
 
 
@@ -247,10 +239,6 @@ def identify_logits(params: HeadParams, h: Tensor, skip: Tensor | None) -> Tenso
     z = concat([h, skip], axis=1) if skip is not None else h
     a = params.bn(linear(z, params.w1, params.b1)).relu()
     return linear(a, params.w2, params.b2).reshape((h.shape[0],))
-
-
-def identify(params: HeadParams, h: Tensor, skip: Tensor | None) -> Tensor:
-    return softmax_rows(identify_logits(params, h, skip))
 
 
 def reset_state(n: int, d_h: int) -> GCLSTMState:
@@ -372,7 +360,9 @@ def localize_step(model: Localizer, state: GCLSTMState, observation, topo: TopoM
     """One observation in: per-node probabilities, argmax node, next state out.
 
     In evaluation mode the step records no graph, so the returned state
-    carries no history of earlier steps.
+    carries no history of earlier steps.  The probabilities never carry a
+    graph; with `return_logits` the step also returns the logits, which do
+    in training mode.
     """
     obs = np.asarray(observation, dtype=np.float64)
     if obs.shape != (model.cfg.d_obs,):
@@ -393,7 +383,7 @@ def localize_step(model: Localizer, state: GCLSTMState, observation, topo: TopoM
             h, new_state = gclstm_step(model.gclstm, x, ctx.adj, state)
         skip = skip_path(model.skip, x) if model.skip is not None else None
         logits = identify_logits(model.head, h, skip)
-        probs = softmax_rows(logits)
+    probs = softmax_rows(Tensor.const(logits.data))
     pred = int(np.argmax(probs.data))
     if return_logits:
         return probs, pred, new_state, logits

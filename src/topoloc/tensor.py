@@ -13,10 +13,12 @@ inputs.  It releases each node's parents and closure as soon as the node's
 adjoint has been pushed to them, so the graph is freed while backward()
 runs; a second backward() through the same graph raises RuntimeError.
 
-Besides elementwise, reduction and reshaping primitives, two fused ops
-carry the localizer's layers with one node each: ``linear(x, W, b)`` and
-``gin(x, adj, eps, W1, b1, W2, b2)``.  They compute the forward in the same
-operation order as the unfused expression, so their values are bit-identical.
+Besides elementwise, reduction and reshaping primitives, fused ops carry
+the localizer's layers and loss with one graph node each, with hand-written
+backward: ``linear``, ``gin``, ``batch_norm``, ``cross_entropy`` and
+``gclstm_cell``, whose one node yields both the output h and the cell state
+c as column blocks.  Each computes its forward in the same operation order as
+the unfused expression of primitives, so their values are bit-identical.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ def _recording(*inputs):
             if t.requires_grad:
                 return True
     return False
+
+
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 _FREED = "backward() through a graph that an earlier backward() has freed"
@@ -226,13 +232,6 @@ class Tensor:
             out._record((self, other), bwd)
         return out
 
-    def pow(self, exponent):
-        out = Tensor(self.data ** exponent)
-        if _recording(self):
-            out._record((self,), lambda g: self._accum(
-                g * exponent * self.data ** (exponent - 1)))
-        return out
-
     def sqrt(self):
         out = Tensor(np.sqrt(self.data))
         if _recording(self):
@@ -247,12 +246,6 @@ class Tensor:
             out._record((self,), lambda g: self._accum(g * e))
         return out
 
-    def log(self):
-        out = Tensor(np.log(self.data))
-        if _recording(self):
-            out._record((self,), lambda g: self._accum(g / self.data))
-        return out
-
     # -- activations ---------------------------------------------------------
 
     def relu(self):
@@ -262,7 +255,7 @@ class Tensor:
         return out
 
     def sigmoid(self):
-        out = Tensor(1.0 / (1.0 + np.exp(-self.data)))
+        out = Tensor(_sigmoid(self.data))
         if _recording(self):
             s = out.data
             out._record((self,), lambda g: self._accum(g * s * (1.0 - s)))
@@ -289,10 +282,6 @@ class Tensor:
             out._record((self,), bwd)
         return out
 
-    def sum_rows(self):
-        """Sum along axis 1: one scalar per row."""
-        return self.sum(axis=1)
-
     def mean(self, axis=None):
         n = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis) * (1.0 / n)
@@ -301,17 +290,6 @@ class Tensor:
         out = Tensor(self.data.reshape(shape))
         if _recording(self):
             out._record((self,), lambda g: self._accum(g.reshape(self.data.shape)))
-        return out
-
-    def pick(self, index):
-        """Select one element of a 1-D tensor as a scalar."""
-        out = Tensor(self.data[index])
-        if _recording(self):
-            def bwd(g):
-                full = np.zeros_like(self.data)
-                full[index] = g
-                self._accum(full)
-            out._record((self,), bwd)
         return out
 
 
@@ -362,32 +340,135 @@ def linear(x, w, b):
     return out
 
 
+def _gin_forward(u, au, eps, w1, b1, w2, b2):
+    """GIN layer on arrays, given ``au = adj @ u``: (scale, agg, hidden, out)."""
+    scale = eps.data + 1.0
+    agg = u * scale + au
+    hidden = np.maximum(agg @ w1.data + b1.data, 0.0)
+    return scale, agg, hidden, hidden @ w2.data + b2.data
+
+
+def _gin_backward(g, u, agg, hidden, eps, w1, b1, w2, b2):
+    """Accumulate a GIN layer's parameter adjoints; return the adjoint of `agg`."""
+    if w2.requires_grad:
+        w2._accum(hidden.T @ g)
+    if b2.requires_grad:
+        b2._accum(_unbroadcast(g, b2.data.shape))
+    g = (g @ w2.data.T) * (hidden > 0.0)
+    if w1.requires_grad:
+        w1._accum(agg.T @ g)
+    if b1.requires_grad:
+        b1._accum(_unbroadcast(g, b1.data.shape))
+    g = g @ w1.data.T
+    if eps.requires_grad:
+        eps._accum(_unbroadcast(g * u, eps.data.shape))
+    return g
+
+
 def gin(x, adj, eps, w1, b1, w2, b2):
     """GIN layer ``relu(((1 + eps) x + adj @ x) @ w1 + b1) @ w2 + b2`` as one graph node."""
-    scale = eps.data + 1.0
-    agg = x.data * scale + adj.data @ x.data
-    hidden = np.maximum(agg @ w1.data + b1.data, 0.0)
-    out = Tensor(hidden @ w2.data + b2.data)
-    if _recording(x, adj, eps, w1, b1, w2, b2):
+    params = (eps, w1, b1, w2, b2)
+    scale, agg, hidden, out = _gin_forward(x.data, adj.data @ x.data, *params)
+    out = Tensor(out)
+    if _recording(x, adj, *params):
         def bwd(g):
-            if w2.requires_grad:
-                w2._accum(hidden.T @ g)
-            if b2.requires_grad:
-                b2._accum(_unbroadcast(g, b2.data.shape))
-            g = (g @ w2.data.T) * (hidden > 0.0)
-            if w1.requires_grad:
-                w1._accum(agg.T @ g)
-            if b1.requires_grad:
-                b1._accum(_unbroadcast(g, b1.data.shape))
-            g = g @ w1.data.T
-            if eps.requires_grad:
-                eps._accum(_unbroadcast(g * x.data, eps.data.shape))
+            g = _gin_backward(g, x.data, agg, hidden, *params)
             if x.requires_grad:
                 x._accum(g * scale + adj.data.T @ g)
             if adj.requires_grad:
                 adj._accum(g @ x.data.T)
-        out._record((x, adj, eps, w1, b1, w2, b2), bwd)
+        out._record((x, adj) + params, bwd)
     return out
+
+
+def _column_blocks(inputs, backward, blocks):
+    """Tensors holding `blocks`, recorded as column blocks of one node over `inputs`.
+
+    `backward` receives the blocks' adjoints side by side in one array, with
+    zeros for a block that received none.
+    """
+    node = Tensor(np.concatenate(blocks, axis=1))
+    node._record(inputs, backward)
+
+    def accum_columns(cols):
+        def bwd(g):
+            if node.grad is None:
+                node.grad = np.zeros_like(node.data)
+                node._grad_owned = True
+            node.grad[:, cols] += g
+        return bwd
+
+    outs, start = [], 0
+    for data in blocks:
+        out = Tensor(data)
+        out._record((node,), accum_columns(slice(start, start + data.shape[1])))
+        start += data.shape[1]
+        outs.append(out)
+    return outs
+
+
+def gclstm_cell(x, h_prev, c_prev, adj, gins, w_ci, w_cf, w_co, b_i, b_f, b_c, b_o):
+    """One graph-convolutional LSTM step as one graph node; returns (h, c).
+
+    `gins` holds eight GIN parameter tuples ``(eps, w1, b1, w2, b2)``; the
+    layers G0..G7 read x at even and h_prev at odd positions:
+
+        i = sigmoid(G0(x) + G1(h_prev) + w_ci * c_prev + b_i)
+        f = sigmoid(G2(x) + G3(h_prev) + w_cf * c_prev + b_f)
+        c = f * c_prev + i * tanh(G4(x) + G5(h_prev) + b_c)
+        o = sigmoid(G6(x) + G7(h_prev) + w_co * c + b_o)
+        h = o * tanh(c)
+
+    ``adj @ x`` and ``adj @ h_prev`` are computed once and shared by the four
+    layers reading them.  h and c are column blocks of the one node.
+    """
+    inputs = ((x, h_prev, c_prev, adj) + tuple(t for p in gins for t in p)
+              + (w_ci, w_cf, w_co, b_i, b_f, b_c, b_o))
+    recording = _recording(*inputs)
+    xd, hd, cd, ad = x.data, h_prev.data, c_prev.data, adj.data
+    sides = ((xd, ad @ xd), (hd, ad @ hd))
+    # without a graph to record, each layer's intermediates are dropped as
+    # soon as its output exists, which keeps evaluation's peak memory low
+    keep = slice(None) if recording else slice(3, None)
+    layers = [_gin_forward(*sides[k % 2], *p)[keep] for k, p in enumerate(gins)]
+    z = [layer[-1] for layer in layers]
+    i = _sigmoid(z[0] + z[1] + w_ci.data * cd + b_i.data)
+    f = _sigmoid(z[2] + z[3] + w_cf.data * cd + b_f.data)
+    cand = np.tanh(z[4] + z[5] + b_c.data)
+    c = f * cd + i * cand
+    o = _sigmoid(z[6] + z[7] + w_co.data * c + b_o.data)
+    tc = np.tanh(c)
+    h = o * tc
+    if not recording:
+        return Tensor(h), Tensor(c)
+
+    def bwd(g):
+        gh, gc = g[:, :h.shape[1]], g[:, h.shape[1]:]
+        dzo = gh * tc * o * (1.0 - o)
+        dc = gc + gh * o * (1.0 - tc * tc) + dzo * w_co.data
+        dzi = dc * cand * i * (1.0 - i)
+        dzf = dc * cd * f * (1.0 - f)
+        dzc = dc * i * (1.0 - cand * cand)
+        for t, gt in ((w_ci, dzi * cd), (w_cf, dzf * cd), (w_co, dzo * c),
+                      (b_i, dzi), (b_f, dzf), (b_c, dzc), (b_o, dzo)):
+            if t.requires_grad:
+                t._accum(_unbroadcast(gt, t.data.shape))
+        if c_prev.requires_grad:
+            c_prev._accum(dc * f + dzi * w_ci.data + dzf * w_cf.data)
+        gates = (dzi, dzi, dzf, dzf, dzc, dzc, dzo, dzo)
+        dagg = [_gin_backward(gates[k], sides[k % 2][0], layer[1], layer[2], *p)
+                for k, (layer, p) in enumerate(zip(layers, gins))]
+        for side, t in enumerate((x, h_prev)):
+            ks = range(side, 8, 2)
+            gsum = dagg[ks[0]] + dagg[ks[1]] + dagg[ks[2]] + dagg[ks[3]]
+            if t.requires_grad:
+                t._accum(dagg[ks[0]] * layers[ks[0]][0] + dagg[ks[1]] * layers[ks[1]][0]
+                         + dagg[ks[2]] * layers[ks[2]][0] + dagg[ks[3]] * layers[ks[3]][0]
+                         + ad.T @ gsum)
+            if adj.requires_grad:
+                adj._accum(gsum @ sides[side][0].T)
+
+    return _column_blocks(inputs, bwd, (h, c))
 
 
 # -- losses and normalization --------------------------------------------------
@@ -403,28 +484,45 @@ def softmax_rows(x):
     return e / denom
 
 
-def log_softmax_vec(x):
-    shift = Tensor.const(x.data.max())
-    z = x - shift
-    lse = z.exp().sum().log()
-    return z - lse
-
-
 def cross_entropy(logits, target_index):
-    """-log softmax(logits)[target] for a 1-D logits vector."""
+    """-log softmax(logits)[target] for a 1-D logits vector, as one graph node."""
     if logits.data.ndim != 1:
         raise ValueError("cross_entropy expects a 1-D logits vector")
     if not 0 <= target_index < logits.data.shape[0]:
         raise IndexError(f"target index {target_index} out of range")
-    return -log_softmax_vec(logits).pick(target_index)
+    z = logits.data - logits.data.max()
+    e = np.exp(z)
+    total = e.sum()
+    out = Tensor(-(z[target_index] - np.log(total)))
+    if _recording(logits):
+        def bwd(g):
+            grad = e * (g / total)
+            grad[target_index] -= g
+            logits._accum(grad)
+        out._record((logits,), bwd)
+    return out
 
 
 def batch_norm(x, gamma, beta, eps=1e-5):
-    """Normalize each feature over the batch (row) dimension, then affine."""
-    mu = x.mean(axis=0)
-    xc = x - mu
-    var = (xc * xc).mean(axis=0)
-    return xc / (var + eps).sqrt() * gamma + beta
+    """Normalize each feature over the batch (row) dimension, then affine; one graph node."""
+    xd = x.data
+    n = xd.shape[0]
+    # sum * (1/n) rather than mean(): the composed op's order, for bit-identical values
+    xc = xd - xd.sum(axis=0) * (1.0 / n)
+    std = np.sqrt((xc * xc).sum(axis=0) * (1.0 / n) + eps)
+    xhat = xc / std
+    out = Tensor(xhat * gamma.data + beta.data)
+    if _recording(x, gamma, beta):
+        def bwd(g):
+            if gamma.requires_grad:
+                gamma._accum(_unbroadcast(g * xhat, gamma.data.shape))
+            if beta.requires_grad:
+                beta._accum(_unbroadcast(g, beta.data.shape))
+            if x.requires_grad:
+                gx = g * gamma.data
+                x._accum((gx - gx.mean(axis=0) - xhat * (gx * xhat).mean(axis=0)) / std)
+        out._record((x, gamma, beta), bwd)
+    return out
 
 
 class BatchNorm:
@@ -489,13 +587,6 @@ class Adam:
                 mhat = m / (1 - self.b1 ** self.t)
                 vhat = v / (1 - self.b2 ** self.t)
                 p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)
-
-
-def sgd_step(params, lr):
-    """Plain gradient step; handy for small analytic tests."""
-    for p in params:
-        if p.grad is not None:
-            p.data -= lr * p.grad
 
 
 # -- gradient verification ---------------------------------------------------

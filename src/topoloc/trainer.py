@@ -10,6 +10,8 @@ configurable ratio; early stopping follows the validation loss.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,6 +163,22 @@ def validation_loss(model, val_samples, cfg, seed=12345):
     return float(np.mean(losses))
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector; restore its previous state on exit.
+
+    Autograd graphs hold no reference cycles and are freed by reference
+    counting, so collections during training find nothing and only pause.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def train(model: L.Localizer, sim_set, real_set, val_set, cfg: TrainConfig):
     """Optimize until the validation loss stops improving; keep the best."""
     if len(sim_set) == 0 and cfg.mix_ratio < 1.0:
@@ -175,32 +193,33 @@ def train(model: L.Localizer, sim_set, real_set, val_set, cfg: TrainConfig):
     history = TrainHistory()
     best_snapshot = model.state_snapshot()
     model.train()
-    val = validation_loss(model, val_set, cfg)
-    since_best = 0
-    for it in range(1, cfg.max_iters + 1):
-        batch = []
-        for _ in range(cfg.batch_size):
-            use_real = rng.random() < cfg.mix_ratio
-            pool = real_set if use_real else sim_set
-            batch.append(pool[int(rng.integers(len(pool)))])
-        opt.zero_grad()
-        loss = Tensor.const(0.0)
-        for sample in batch:
-            loss = loss + sequence_loss(model, _draw_window(sample, cfg.tau, rng), cfg, rng)
-        loss = loss * (1.0 / len(batch))
-        loss.backward()
-        opt.step()
-        if it % cfg.val_every == 0 or it == cfg.max_iters:
-            val = validation_loss(model, val_set, cfg)
-        history.rows.append((it, loss.item(), val))
-        if val < history.best_val - 1e-12:
-            history.best_val = val
-            history.best_iter = it
-            best_snapshot = model.state_snapshot()
-            since_best = 0
-        else:
-            since_best += 1
-        if since_best >= cfg.patience_iters:
-            break
+    with _collector_paused():
+        val = validation_loss(model, val_set, cfg)
+        since_best = 0
+        for it in range(1, cfg.max_iters + 1):
+            batch = []
+            for _ in range(cfg.batch_size):
+                use_real = rng.random() < cfg.mix_ratio
+                pool = real_set if use_real else sim_set
+                batch.append(pool[int(rng.integers(len(pool)))])
+            opt.zero_grad()
+            loss = Tensor.const(0.0)
+            for sample in batch:
+                loss = loss + sequence_loss(model, _draw_window(sample, cfg.tau, rng), cfg, rng)
+            loss = loss * (1.0 / len(batch))
+            loss.backward()
+            opt.step()
+            if it % cfg.val_every == 0 or it == cfg.max_iters:
+                val = validation_loss(model, val_set, cfg)
+            history.rows.append((it, loss.item(), val))
+            if val < history.best_val - 1e-12:
+                history.best_val = val
+                history.best_iter = it
+                best_snapshot = model.state_snapshot()
+                since_best = 0
+            else:
+                since_best += 1
+            if since_best >= cfg.patience_iters:
+                break
     model.load_state(best_snapshot)
     return history

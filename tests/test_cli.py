@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import topoloc.navigation as N
-from topoloc.cli import _sample_goal, main
+from topoloc.cli import _sample_goal, _sample_start, main
 from topoloc.topo_graph import Pose2D, TopoMap
 
 
@@ -169,7 +169,21 @@ def test_sampled_goals_are_plannable_on_one_way_chain():
                    [(i, i + 1) for i in range(n - 1)])
     rng = np.random.default_rng(8)
     for _ in range(120):
-        start = int(rng.integers(n))
+        start = _sample_start(topo, rng)
         goal = _sample_goal(topo, start, rng)
-        assert goal == start or 0 < goal - start <= 12
+        assert goal != start and 0 < goal - start <= 12
         N.plan_dijkstra(topo, start, goal)  # raises when the goal is unreachable
+
+
+def test_eval_nav_on_edgeless_map_fails_loudly(pipeline, tmp_path, capsys):
+    with open(os.path.join(pipeline, "map.json")) as fh:
+        blob = json.load(fh)
+    blob["edges"] = []
+    edgeless = os.path.join(tmp_path, "edgeless.json")
+    with open(edgeless, "w") as fh:
+        json.dump(blob, fh)
+    assert main(["eval-nav", "--world", os.path.join(pipeline, "world.json"),
+                 "--map", edgeless, "--method", "oracle", "--trials", "2",
+                 "--out", str(tmp_path), "--seed", "2"]) == 2
+    assert "no node of the map has a goal" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "nav_eval.csv")

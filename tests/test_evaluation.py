@@ -155,7 +155,7 @@ def test_model_localizer_protocol():
 def test_no_skip_ablation_shape_params_and_gradients():
     cfg = L.LocalizerConfig(d_obs=4, d_emb=4, d_x=4, d_h=4, d_skip=4,
                             enc_hidden=4, gin_hidden=4, head_hidden=4)
-    noskip = E.ablation_no_skip(cfg, seed=9)
+    noskip = L.Localizer(L.LocalizerConfig(**{**cfg.to_dict(), "variant": "no_skip"}), seed=9)
     full = L.Localizer(cfg, seed=9)
     assert noskip.cfg.variant == "no_skip"
     assert noskip.num_params() < full.num_params()

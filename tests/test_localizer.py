@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import topoloc.localizer as L
 from topoloc import tensor as T
-from topoloc.tensor import Tensor, grad_check, cross_entropy
+from topoloc.tensor import Tensor, grad_check, cross_entropy, softmax_rows
 from topoloc.topo_graph import MapConfig, Pose2D, TopoMap
 
 
@@ -255,7 +255,7 @@ def test_identify_uniform_for_identical_rows():
     model = L.Localizer(small_cfg(), seed=21)
     h = Tensor.const(np.tile(np.random.default_rng(22).normal(size=8), (5, 1)))
     skip = Tensor.const(np.tile(np.random.default_rng(23).normal(size=4), (5, 1)))
-    probs = L.identify(model.head, h, skip).data
+    probs = softmax_rows(L.identify_logits(model.head, h, skip)).data
     np.testing.assert_allclose(probs, np.full(5, 0.2), atol=1e-9)
 
 
@@ -265,7 +265,7 @@ def test_identify_sums_to_one_and_argmax_matches_logits():
     h = Tensor.const(rng.normal(size=(7, 8)))
     skip = Tensor.const(rng.normal(size=(7, 4)))
     logits = L.identify_logits(model.head, h, skip)
-    probs = L.identify(model.head, h, skip)
+    probs = softmax_rows(L.identify_logits(model.head, h, skip))
     assert abs(float(np.sum(probs.data)) - 1.0) <= 1e-9
     assert int(np.argmax(probs.data)) == int(np.argmax(logits.data))
 

@@ -11,7 +11,7 @@ import topoloc.trainer as TR
 from topoloc import tensor as T
 from topoloc.tensor import (Adam, Tensor, batch_norm, concat,
                             cross_entropy, gin, grad_check, linear, load_checkpoint,
-                            no_grad, save_checkpoint, sgd_step, softmax_rows)
+                            no_grad, save_checkpoint, softmax_rows)
 from topoloc.topo_graph import MapConfig, TopoMap
 
 
@@ -82,7 +82,7 @@ def test_primitive_adjoints_random_shapes(shape):
         z = (a * b + a - b / 2.0) @ w + bias
         z = z.tanh() + z.sigmoid() + (z * z + 1.0).sqrt()
         z = concat([z, z.relu()], axis=1)
-        return (z.sum_rows() * 0.25).sum() + a.pow(2).mean()
+        return (z.sum(axis=1) * 0.25).sum() + (a * a).mean()
 
     report = grad_check(f, {"a": a, "b": b, "w": w, "bias": bias})
     assert max(report.values()) < 1e-4
@@ -123,21 +123,14 @@ def test_adam_zero_gradient_leaves_params():
     assert np.array_equal(p.data, [1.0, 2.0])
 
 
-def test_plain_gradient_step():
-    p = Tensor.param(1.0)
-    p.grad = np.array(1.0)
-    sgd_step([p], 0.1)
-    assert p.item() == pytest.approx(0.9)
-
-
 def test_adam_converges_on_convex_quadratic():
     # minimum of (x-3)^2 + 2(y+1)^2 at (3, -1)
     p = Tensor.param(np.array([0.0, 0.0]))
     opt = Adam([([p], 0.05)])
     for _ in range(5000):
         opt.zero_grad()
-        x, y = p.pick(0), p.pick(1)
-        loss = (x - 3.0).pow(2) + (y + 1.0).pow(2) * 2.0
+        d = p - np.array([3.0, -1.0])
+        loss = (d * d * np.array([1.0, 2.0])).sum()
         loss.backward()
         opt.step()
         if abs(p.data[0] - 3.0) < 1e-7 and abs(p.data[1] + 1.0) < 1e-7:
@@ -204,6 +197,152 @@ def test_gin_matches_unfused_expression_and_finite_differences(n, eps):
     assert max(report.values()) < 1e-6
 
 
+# Unfused references: the composed expressions that the fused batch_norm,
+# cross_entropy and GCLSTM cell replaced, with the two primitives (log, pick)
+# that only the composed cross-entropy used.
+
+
+def log_reference(t):
+    out = Tensor(np.log(t.data))
+    if t.requires_grad:
+        out._record((t,), lambda g: t._accum(g / t.data))
+    return out
+
+
+def pick_reference(t, index):
+    out = Tensor(t.data[index])
+    if t.requires_grad:
+        def bwd(g):
+            full = np.zeros_like(t.data)
+            full[index] = g
+            t._accum(full)
+        out._record((t,), bwd)
+    return out
+
+
+def cross_entropy_reference(logits, target_index):
+    z = logits - Tensor.const(logits.data.max())
+    return -pick_reference(z - log_reference(z.exp().sum()), target_index)
+
+
+def batch_norm_reference(x, gamma, beta, eps):
+    mu = x.mean(axis=0)
+    xc = x - mu
+    var = (xc * xc).mean(axis=0)
+    return xc / (var + eps).sqrt() * gamma + beta
+
+
+def gclstm_reference(params, x, adj, state):
+    g = params.gins
+    h_prev, c_prev = state.h, state.c
+    i = (L.gin_aggregate(g[0], x, adj) + L.gin_aggregate(g[1], h_prev, adj)
+         + params.w_ci * c_prev + params.b_i).sigmoid()
+    f = (L.gin_aggregate(g[2], x, adj) + L.gin_aggregate(g[3], h_prev, adj)
+         + params.w_cf * c_prev + params.b_f).sigmoid()
+    c = f * c_prev + i * (L.gin_aggregate(g[4], x, adj)
+                          + L.gin_aggregate(g[5], h_prev, adj) + params.b_c).tanh()
+    o = (L.gin_aggregate(g[6], x, adj) + L.gin_aggregate(g[7], h_prev, adj)
+         + params.w_co * c + params.b_o).sigmoid()
+    return o * c.tanh(), c
+
+
+def gradients(loss_fn, tensors):
+    for t in tensors.values():
+        t.grad = None
+    loss_fn().backward()
+    return {k: np.array(t.grad) for k, t in tensors.items()}
+
+
+def assert_gradients_match(fused_loss, reference_loss, tensors):
+    fused = gradients(fused_loss, tensors)
+    reference = gradients(reference_loss, tensors)
+    scale = max(float(np.max(np.abs(g))) for g in reference.values())
+    for k in tensors:
+        assert np.max(np.abs(fused[k] - reference[k])) <= 1e-12 * scale, k
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_cross_entropy_matches_unfused_expression_and_finite_differences(n):
+    rng = np.random.default_rng(50 + n)
+    logits = Tensor.param(rng.normal(size=n) * 3.0, name="logits")
+    target = int(rng.integers(n))
+    assert np.array_equal(cross_entropy(logits, target).data,
+                          cross_entropy_reference(logits, target).data)
+    assert_gradients_match(lambda: cross_entropy(logits, target),
+                           lambda: cross_entropy_reference(logits, target),
+                           {"logits": logits})
+    report = grad_check(lambda: cross_entropy(logits, target), {"logits": logits})
+    assert report["logits"] < 1e-6
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("eps", [1e-5, 0.3])
+def test_batch_norm_matches_unfused_expression_and_finite_differences(n, eps):
+    rng = np.random.default_rng(60 + n)
+    p = {"x": Tensor.param(rng.normal(loc=2.0, size=(n, 3)), name="x"),
+         "gamma": Tensor.param(rng.normal(size=3), name="gamma"),
+         "beta": Tensor.param(rng.normal(size=3), name="beta")}
+    weights = Tensor.const(rng.normal(size=(n, 3)))
+    fused = lambda: (batch_norm(p["x"], p["gamma"], p["beta"], eps) * weights).sum()
+    reference = lambda: (batch_norm_reference(p["x"], p["gamma"], p["beta"], eps)
+                         * weights).sum()
+    assert np.array_equal(batch_norm(p["x"], p["gamma"], p["beta"], eps).data,
+                          batch_norm_reference(p["x"], p["gamma"], p["beta"], eps).data)
+    assert_gradients_match(fused, reference, p)
+    assert max(grad_check(fused, p).values()) < 1e-6
+
+
+def gclstm_inputs(n, seed):
+    """A GCLSTM cell with nonzero GIN eps and peepholes, a random graph and state."""
+    rng = np.random.default_rng(seed)
+    cfg = L.LocalizerConfig(d_x=3, d_h=4, gin_hidden=5)
+    params = L.GCLSTMParams.init(cfg, rng)
+    tensors = {}
+    for k, g in enumerate(params.gins):
+        g.eps.data = np.array(rng.uniform(-0.5, 0.5))
+        tensors.update({f"gin{k}.{a}": getattr(g, a) for a in ("eps", "w1", "b1", "w2", "b2")})
+    for a in ("w_ci", "w_cf", "w_co", "b_i", "b_f", "b_c", "b_o"):
+        getattr(params, a).data = rng.normal(size=cfg.d_h)
+        tensors[a] = getattr(params, a)
+    # an asymmetric weighted adjacency, so that adj and adj.T differ
+    tensors["adj"] = Tensor.param(rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.6),
+                                  name="adj")
+    tensors["x"] = Tensor.param(rng.normal(size=(n, cfg.d_x)), name="x")
+    tensors["h"] = Tensor.param(rng.normal(size=(n, cfg.d_h)), name="h")
+    tensors["c"] = Tensor.param(rng.normal(size=(n, cfg.d_h)), name="c")
+    weights = [Tensor.const(rng.normal(size=(n, cfg.d_h))) for _ in range(2)]
+    return params, tensors, weights
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_gclstm_step_matches_unfused_expression_and_finite_differences(n):
+    params, p, (wh, wc) = gclstm_inputs(n, seed=70 + n)
+    state = L.GCLSTMState(p["h"], p["c"])
+    h, new = L.gclstm_step(params, p["x"], p["adj"], state)
+    ref_h, ref_c = gclstm_reference(params, p["x"], p["adj"], state)
+    assert np.array_equal(h.data, ref_h.data) and np.array_equal(new.c.data, ref_c.data)
+    assert new.h is h
+
+    def fused():
+        h, new = L.gclstm_step(params, p["x"], p["adj"], state)
+        return (h * wh).sum() + (new.c * wc).sum()
+
+    def reference():
+        h, c = gclstm_reference(params, p["x"], p["adj"], state)
+        return (h * wh).sum() + (c * wc).sum()
+
+    assert_gradients_match(fused, reference, p)
+    assert max(grad_check(fused, p).values()) < 1e-6
+
+
+def test_gclstm_step_in_no_grad_saves_nothing():
+    params, p, _ = gclstm_inputs(4, seed=80)
+    with no_grad():
+        h, new = L.gclstm_step(params, p["x"], p["adj"], L.GCLSTMState(p["h"], p["c"]))
+    for out in (h, new.c):
+        assert not out.requires_grad and out._parents == () and out._backward is None
+
+
 # -- graph recording and release ----------------------------------------------------
 
 
@@ -242,18 +381,42 @@ def test_eval_step_without_graph_matches_recorded_step_bitwise(variant):
         model.training = training
         ctx = L.make_context(model, topo)
         state = L.reset_state(topo.n, model.cfg.d_h)
-        steps = []
+        steps, logits = [], []
         for obs in observations:
-            probs, _, state = L.localize_step(model, state, obs, topo, ctx)
+            probs, _, state, step_logits = L.localize_step(model, state, obs, topo, ctx,
+                                                           return_logits=True)
             steps.append((probs, state.h, state.c))
-        return steps
+            logits.append(step_logits)
+        return steps, logits
 
-    recorded, evaluated = run(True), run(False)
-    assert recorded[-1][0].requires_grad and not evaluated[-1][0].requires_grad
+    (recorded, rec_logits), (evaluated, ev_logits) = run(True), run(False)
+    assert rec_logits[-1].requires_grad and not ev_logits[-1].requires_grad
+    # probabilities are computed outside the graph, in training mode too
+    assert not recorded[-1][0].requires_grad and recorded[-1][0]._parents == ()
     for rec, ev in zip(recorded, evaluated):
         for a, b in zip(rec, ev):
             assert np.array_equal(a.data, b.data)
             assert b._parents == ()
+
+
+@pytest.mark.parametrize("variant", L.VARIANTS)
+def test_training_step_records_at_most_25_graph_nodes(variant, monkeypatch):
+    model, topo, observations = small_model_and_map(variant)
+    ctx = L.make_context(model, topo)
+    state = L.reset_state(topo.n, model.cfg.d_h)
+    _, _, state = L.localize_step(model, state, observations[0], topo, ctx)
+    recorded = []
+    record = Tensor._record
+
+    def counting_record(self, inputs, backward):
+        recorded.append(self)
+        record(self, inputs, backward)
+
+    monkeypatch.setattr(Tensor, "_record", counting_record)
+    _, _, _, logits = L.localize_step(model, state, observations[1], topo, ctx,
+                                      return_logits=True)
+    cross_entropy(logits, 2)
+    assert 0 < len(recorded) <= 25
 
 
 def test_backward_frees_graph_without_reference_cycles():

@@ -1,6 +1,8 @@
 """Trainer tests: target rules, loss oracles, memorization, mixing
 accounting, early stopping, and deterministic histories."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -212,6 +214,37 @@ def test_fixed_seed_reproduces_history_exactly(tmp_path):
     hists[0].to_csv(a, meta="x")
     hists[1].to_csv(b, meta="x")
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("fail", [False, True])
+def test_train_pauses_collector_and_restores_its_state(monkeypatch, enabled, fail):
+    topo = posed_map(5, 4, seed=40)
+    sample = sim_sample(topo, 6, seed=41)
+    tc = TR.TrainConfig(tau=3, n_prime=5, batch_size=1, max_iters=3,
+                        patience_iters=5, val_every=1, seed=42)
+    seen = []
+    real_loss = TR.sequence_loss
+
+    def watched_loss(*args):
+        seen.append(gc.isenabled())
+        if fail and len(seen) == 3:
+            raise RuntimeError("injected mid-loop failure")
+        return real_loss(*args)
+
+    monkeypatch.setattr(TR, "sequence_loss", watched_loss)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if fail:
+            with pytest.raises(RuntimeError, match="injected"):
+                TR.train(L.Localizer(small_cfg(), seed=43), [sample], [], [sample], tc)
+        else:
+            TR.train(L.Localizer(small_cfg(), seed=43), [sample], [], [sample], tc)
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert len(seen) >= 3 and not any(seen)
 
 
 def test_train_input_validation():
