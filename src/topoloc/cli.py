@@ -166,7 +166,11 @@ def build_real_samples(real_trajs, m_stride):
 def cmd_train(args):
     if args.method not in ("ours", "no_gclstm", "no_skip"):
         raise CliError(f"cannot train method {args.method!r}")
-    tc = TR.TrainConfig(**(_load_json(args.config, "config") if args.config else {}))
+    overrides = _load_json(args.config, "config") if args.config else {}
+    try:
+        tc = TR.TrainConfig(**overrides)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"bad train config {args.config}: {exc}") from exc
     tc.seed = args.seed
     topo = load_map(args.map)
     mc = topo.config or MapConfig()

@@ -10,6 +10,12 @@ each node's concatenated features to a likelihood, softmaxed over nodes.
 
 Variants: "no_gclstm" replaces the recurrent layer with a stateless
 per-node FC stack, "no_skip" drops the skip path.
+
+One forward, ``step_logits``, serves inference and training.  It runs on a
+``MapContext`` holding one map or the disjoint union of several: node rows
+concatenated, a block-diagonal adjacency, and one observation per map.
+``localize_step`` is its one-map case; training unrolls the windows of a
+mini-batch together over the union of their submaps.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, BatchNorm, concat, gclstm_cell, gin, linear, softmax_rows
+from .tensor import Tensor, BatchNorm, Segments, concat, gclstm_cell, gin, linear
 from .topo_graph import TopoMap
 
 VARIANTS = ("full", "no_gclstm", "no_skip")
@@ -193,9 +199,17 @@ def encode(params: EncoderParams, x: Tensor) -> Tensor:
     return out
 
 
-def pair_features(params: PairNetParams, current_emb: Tensor, node_embs: Tensor) -> Tensor:
-    n = node_embs.shape[0]
-    tiled = Tensor.const(np.ones((n, 1))) @ current_emb  # broadcast the query row
+def pair_features(params: PairNetParams, current_emb: Tensor, node_embs: Tensor,
+                  member: Tensor | None = None) -> Tensor:
+    """Per-node features from (query, node) embedding pairs.
+
+    `current_emb` holds one query row per map and `member` is the constant
+    (nodes, maps) matrix that hands each map's query row to its own nodes;
+    without it all nodes belong to one map.
+    """
+    if member is None:
+        member = Tensor.const(np.ones((node_embs.shape[0], 1)))
+    tiled = member @ current_emb
     z = concat([tiled, node_embs], axis=1)
     a = linear(z, params.w1, params.b1).relu()
     return linear(a, params.w2, params.b2)
@@ -226,18 +240,20 @@ def gclstm_step(params: GCLSTMParams, x: Tensor, edges, state: GCLSTMState):
     return h, GCLSTMState(h, c)
 
 
-def frame_forward(params: FrameNetParams, x: Tensor) -> Tensor:
-    a = params.bn1(linear(x, params.w1, params.b1)).relu()
-    return params.bn2(linear(a, params.w2, params.b2)).relu()
+def frame_forward(params: FrameNetParams, x: Tensor, segments: Segments) -> Tensor:
+    a = params.bn1(linear(x, params.w1, params.b1), segments).relu()
+    return params.bn2(linear(a, params.w2, params.b2), segments).relu()
 
 
 def skip_path(params: SkipParams, x: Tensor) -> Tensor:
     return linear(x, params.w, params.b)
 
 
-def identify_logits(params: HeadParams, h: Tensor, skip: Tensor | None) -> Tensor:
+def identify_logits(params: HeadParams, h: Tensor, skip: Tensor | None,
+                    segments: Segments | None = None) -> Tensor:
+    """Per-node logits; batch norm uses the statistics of each map's rows."""
     z = concat([h, skip], axis=1) if skip is not None else h
-    a = params.bn(linear(z, params.w1, params.b1)).relu()
+    a = params.bn(linear(z, params.w1, params.b1), segments).relu()
     return linear(a, params.w2, params.b2).reshape((h.shape[0],))
 
 
@@ -252,8 +268,16 @@ def reset_state(n: int, d_h: int) -> GCLSTMState:
 
 @dataclass
 class MapContext:
+    """One map, or the disjoint union of several, ready for `step_logits`.
+
+    The maps' node rows are concatenated and `adj` is block-diagonal.
+    `member` is the constant (nodes, maps) matrix with a 1 where a row belongs
+    to a map, and `segments` holds each map's block of rows.
+    """
     node_embs: Tensor
     adj: Tensor
+    member: Tensor
+    segments: Segments
 
 
 class Localizer:
@@ -349,10 +373,50 @@ def _inference(model: Localizer):
     return nullcontext() if model.training else T.no_grad()
 
 
-def make_context(model: Localizer, topo: TopoMap) -> MapContext:
+def make_context(model: Localizer, *topos: TopoMap) -> MapContext:
+    """The context of one map, or of the disjoint union of `topos` in order."""
+    segments = Segments(t.n for t in topos)
+    rows = sum(segments.sizes)
+    adj = np.zeros((rows, rows))
+    member = np.zeros((rows, len(topos)))
+    for b, (t, lo) in enumerate(zip(topos, segments.starts)):
+        adj[lo:lo + t.n, lo:lo + t.n] = t.undirected_adjacency_matrix()
+        member[lo:lo + t.n, b] = 1.0
+    descriptors = np.concatenate([t.descriptors for t in topos])
     with _inference(model):
-        node_embs = encode(model.encoder, Tensor.const(topo.descriptors))
-    return MapContext(node_embs, Tensor.const(topo.undirected_adjacency_matrix()))
+        node_embs = encode(model.encoder, Tensor.const(descriptors))
+    return MapContext(node_embs, Tensor.const(adj), Tensor.const(member), segments)
+
+
+def check_observations(model: Localizer, observations, topo: TopoMap):
+    """Raise ValueError unless the observation rows are finite and match the model and map."""
+    if observations.shape[-1] != model.cfg.d_obs:
+        raise ValueError(f"observation shape {observations.shape} does not match "
+                         f"d_obs={model.cfg.d_obs}")
+    if not np.all(np.isfinite(observations)):
+        raise ValueError("observation contains non-finite values")
+    if topo.descriptors.shape[1] != model.cfg.d_obs:
+        raise ValueError("map descriptor dimension does not match model")
+
+
+def step_logits(model: Localizer, state: GCLSTMState, observations, ctx: MapContext):
+    """The model's forward for one step of every map in `ctx`: (logits, next state).
+
+    `observations` holds one row per map of the context; the logits hold one
+    entry per node row and the state spans all rows.  In evaluation mode the
+    step records no graph.
+    """
+    with _inference(model):
+        cur_emb = encode(model.encoder, Tensor.const(observations))
+        x = pair_features(model.pair, cur_emb, ctx.node_embs, ctx.member)
+        if model.cfg.variant == "no_gclstm":
+            h = frame_forward(model.frame, x, ctx.segments)
+            new_state = state
+        else:
+            h, new_state = gclstm_step(model.gclstm, x, ctx.adj, state)
+        skip = skip_path(model.skip, x) if model.skip is not None else None
+        logits = identify_logits(model.head, h, skip, ctx.segments)
+    return logits, new_state
 
 
 def localize_step(model: Localizer, state: GCLSTMState, observation, topo: TopoMap,
@@ -365,25 +429,14 @@ def localize_step(model: Localizer, state: GCLSTMState, observation, topo: TopoM
     in training mode.
     """
     obs = np.asarray(observation, dtype=np.float64)
-    if obs.shape != (model.cfg.d_obs,):
+    if obs.ndim != 1:
         raise ValueError(f"observation shape {obs.shape} does not match d_obs={model.cfg.d_obs}")
-    if not np.all(np.isfinite(obs)):
-        raise ValueError("observation contains non-finite values")
-    if topo.descriptors.shape[1] != model.cfg.d_obs:
-        raise ValueError("map descriptor dimension does not match model")
+    check_observations(model, obs, topo)
     if ctx is None:
         ctx = make_context(model, topo)
-    with _inference(model):
-        cur_emb = encode(model.encoder, Tensor.const(obs.reshape(1, -1)))
-        x = pair_features(model.pair, cur_emb, ctx.node_embs)
-        if model.cfg.variant == "no_gclstm":
-            h = frame_forward(model.frame, x)
-            new_state = state
-        else:
-            h, new_state = gclstm_step(model.gclstm, x, ctx.adj, state)
-        skip = skip_path(model.skip, x) if model.skip is not None else None
-        logits = identify_logits(model.head, h, skip)
-    probs = softmax_rows(Tensor.const(logits.data))
+    logits, new_state = step_logits(model, state, obs.reshape(1, -1), ctx)
+    e = np.exp(logits.data - logits.data.max())
+    probs = Tensor(e / e.sum())
     pred = int(np.argmax(probs.data))
     if return_logits:
         return probs, pred, new_state, logits

@@ -19,6 +19,10 @@ backward: ``linear``, ``gin``, ``batch_norm``, ``cross_entropy`` and
 ``gclstm_cell``, whose one node yields both the output h and the cell state
 c as column blocks.  Each computes its forward in the same operation order as
 the unfused expression of primitives, so their values are bit-identical.
+
+``batch_norm`` and ``cross_entropy`` also take ``Segments``: the row blocks
+of a batch that stacks several graphs.  They then normalize within each
+block, so the graphs of a batch never share statistics.
 """
 
 from __future__ import annotations
@@ -335,7 +339,7 @@ def linear(x, w, b):
             if w.requires_grad:
                 w._accum(x.data.T @ g)
             if b.requires_grad:
-                b._accum(_unbroadcast(g, b.data.shape))
+                b._accum(g.sum(axis=0))
         out._record((x, w, b), bwd)
     return out
 
@@ -353,15 +357,15 @@ def _gin_backward(g, u, agg, hidden, eps, w1, b1, w2, b2):
     if w2.requires_grad:
         w2._accum(hidden.T @ g)
     if b2.requires_grad:
-        b2._accum(_unbroadcast(g, b2.data.shape))
+        b2._accum(g.sum(axis=0))
     g = (g @ w2.data.T) * (hidden > 0.0)
     if w1.requires_grad:
         w1._accum(agg.T @ g)
     if b1.requires_grad:
-        b1._accum(_unbroadcast(g, b1.data.shape))
+        b1._accum(g.sum(axis=0))
     g = g @ w1.data.T
     if eps.requires_grad:
-        eps._accum(_unbroadcast(g * u, eps.data.shape))
+        eps._accum((g * u).sum(axis=0).sum())
     return g
 
 
@@ -427,16 +431,25 @@ def gclstm_cell(x, h_prev, c_prev, adj, gins, w_ci, w_cf, w_co, b_i, b_f, b_c, b
     recording = _recording(*inputs)
     xd, hd, cd, ad = x.data, h_prev.data, c_prev.data, adj.data
     sides = ((xd, ad @ xd), (hd, ad @ hd))
-    # without a graph to record, each layer's intermediates are dropped as
-    # soon as its output exists, which keeps evaluation's peak memory low
-    keep = slice(None) if recording else slice(3, None)
-    layers = [_gin_forward(*sides[k % 2], *p)[keep] for k, p in enumerate(gins)]
-    z = [layer[-1] for layer in layers]
-    i = _sigmoid(z[0] + z[1] + w_ci.data * cd + b_i.data)
-    f = _sigmoid(z[2] + z[3] + w_cf.data * cd + b_f.data)
-    cand = np.tanh(z[4] + z[5] + b_c.data)
+    layers = []
+
+    def layer_output(k):
+        # without a graph to record, a layer's intermediates are dropped as
+        # soon as its output exists, and each output as soon as it is added
+        # into its gate, which keeps evaluation's peak memory low
+        layer = _gin_forward(*sides[k % 2], *gins[k])
+        if recording:
+            layers.append(layer)
+        return layer[-1]
+
+    def gate_input(k):
+        return layer_output(2 * k) + layer_output(2 * k + 1)
+
+    i = _sigmoid(gate_input(0) + w_ci.data * cd + b_i.data)
+    f = _sigmoid(gate_input(1) + w_cf.data * cd + b_f.data)
+    cand = np.tanh(gate_input(2) + b_c.data)
     c = f * cd + i * cand
-    o = _sigmoid(z[6] + z[7] + w_co.data * c + b_o.data)
+    o = _sigmoid(gate_input(3) + w_co.data * c + b_o.data)
     tc = np.tanh(c)
     h = o * tc
     if not recording:
@@ -452,7 +465,7 @@ def gclstm_cell(x, h_prev, c_prev, adj, gins, w_ci, w_cf, w_co, b_i, b_f, b_c, b
         for t, gt in ((w_ci, dzi * cd), (w_cf, dzf * cd), (w_co, dzo * c),
                       (b_i, dzi), (b_f, dzf), (b_c, dzc), (b_o, dzo)):
             if t.requires_grad:
-                t._accum(_unbroadcast(gt, t.data.shape))
+                t._accum(gt.sum(axis=0))
         if c_prev.requires_grad:
             c_prev._accum(dc * f + dzi * w_ci.data + dzf * w_cf.data)
         gates = (dzi, dzi, dzf, dzf, dzc, dzc, dzo, dzo)
@@ -484,43 +497,91 @@ def softmax_rows(x):
     return e / denom
 
 
-def cross_entropy(logits, target_index):
-    """-log softmax(logits)[target] for a 1-D logits vector, as one graph node."""
-    if logits.data.ndim != 1:
+class Segments:
+    """Consecutive row blocks of a batch that stacks several graphs.
+
+    Block b holds ``sizes[b]`` rows and starts at row ``starts[b]``.  A single
+    block reduces with ``ufunc.reduce``, in the summation order of the
+    unsegmented op; several reduce with ``ufunc.reduceat``.
+    """
+
+    def __init__(self, sizes):
+        sizes = tuple(int(s) for s in sizes)
+        if not sizes or min(sizes) < 1:
+            raise ValueError("segments need at least one block and one row per block")
+        self.sizes = sizes
+        self.counts = np.array(sizes, dtype=np.float64)[:, None]
+        self.starts = np.cumsum((0,) + sizes[:-1])
+        self.ids = np.repeat(np.arange(len(sizes)), sizes)
+
+    def __len__(self):
+        return len(self.sizes)
+
+    def reduce(self, ufunc, a):
+        """`ufunc` reduced over the rows of each block: one row per block."""
+        if len(self.sizes) == 1:
+            return ufunc.reduce(a, axis=0, keepdims=True)
+        return ufunc.reduceat(a, self.starts, axis=0)
+
+    def spread(self, rows):
+        """One row per block, repeated over the rows of its block."""
+        return rows if len(self.sizes) == 1 else rows[self.ids]
+
+
+def cross_entropy(logits, target_index, segments=None):
+    """-log softmax(logits)[target] for a 1-D logits vector, as one graph node.
+
+    With `segments` the vector holds one block of logits per segment, the
+    softmax runs within each block, `target_index` holds one index into the
+    whole vector per segment, and the result is the sum of the segments'
+    terms.  Without, the whole vector is one segment.
+    """
+    ld = logits.data
+    if ld.ndim != 1:
         raise ValueError("cross_entropy expects a 1-D logits vector")
-    if not 0 <= target_index < logits.data.shape[0]:
+    seg = Segments(ld.shape) if segments is None else segments
+    targets = np.reshape(target_index, -1)
+    if targets.shape != (len(seg),) or sum(seg.sizes) != ld.shape[0]:
+        raise ValueError("cross_entropy needs one target per segment and segments "
+                         "covering the logits")
+    if not np.all((seg.starts <= targets) & (targets < seg.starts + seg.sizes)):
         raise IndexError(f"target index {target_index} out of range")
-    z = logits.data - logits.data.max()
+    z = ld - seg.spread(seg.reduce(np.maximum, ld))
     e = np.exp(z)
-    total = e.sum()
-    out = Tensor(-(z[target_index] - np.log(total)))
+    total = seg.reduce(np.add, e)
+    out = Tensor((-(z[targets] - np.log(total))).sum())
     if _recording(logits):
         def bwd(g):
-            grad = e * (g / total)
-            grad[target_index] -= g
+            grad = e * seg.spread(g / total)
+            grad[targets] -= g
             logits._accum(grad)
         out._record((logits,), bwd)
     return out
 
 
-def batch_norm(x, gamma, beta, eps=1e-5):
-    """Normalize each feature over the batch (row) dimension, then affine; one graph node."""
+def batch_norm(x, gamma, beta, eps=1e-5, segments=None):
+    """Normalize each feature over the rows of each segment, then affine; one graph node.
+
+    Without `segments` all rows form one segment.
+    """
     xd = x.data
-    n = xd.shape[0]
+    seg = Segments(xd.shape[:1]) if segments is None else segments
+    n = seg.counts
     # sum * (1/n) rather than mean(): the composed op's order, for bit-identical values
-    xc = xd - xd.sum(axis=0) * (1.0 / n)
-    std = np.sqrt((xc * xc).sum(axis=0) * (1.0 / n) + eps)
+    xc = xd - seg.spread(seg.reduce(np.add, xd) * (1.0 / n))
+    std = seg.spread(np.sqrt(seg.reduce(np.add, xc * xc) * (1.0 / n) + eps))
     xhat = xc / std
     out = Tensor(xhat * gamma.data + beta.data)
     if _recording(x, gamma, beta):
         def bwd(g):
             if gamma.requires_grad:
-                gamma._accum(_unbroadcast(g * xhat, gamma.data.shape))
+                gamma._accum((g * xhat).sum(axis=0))
             if beta.requires_grad:
-                beta._accum(_unbroadcast(g, beta.data.shape))
+                beta._accum(g.sum(axis=0))
             if x.requires_grad:
                 gx = g * gamma.data
-                x._accum((gx - gx.mean(axis=0) - xhat * (gx * xhat).mean(axis=0)) / std)
+                x._accum((gx - seg.spread(seg.reduce(np.add, gx) / n)
+                          - xhat * seg.spread(seg.reduce(np.add, gx * xhat) / n)) / std)
         out._record((x, gamma, beta), bwd)
     return out
 
@@ -530,7 +591,8 @@ class BatchNorm:
 
     It always normalizes with the statistics of the batch it is given, in
     training and in evaluation alike; a localizer's batch is the full set of
-    map nodes, so the output is deterministic and needs no running averages.
+    map nodes, or with `segments` each map's block of a stack of maps, so the
+    output is deterministic and needs no running averages.
     """
 
     def __init__(self, dim, name="bn"):
@@ -538,8 +600,8 @@ class BatchNorm:
         self.beta = Tensor.param(np.zeros(dim), name=f"{name}.beta")
         self.name = name
 
-    def __call__(self, x):
-        return batch_norm(x, self.gamma, self.beta)
+    def __call__(self, x, segments=None):
+        return batch_norm(x, self.gamma, self.beta, segments=segments)
 
     def params(self):
         return {f"{self.name}.gamma": self.gamma, f"{self.name}.beta": self.beta}

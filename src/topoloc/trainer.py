@@ -1,11 +1,16 @@
 """Sequence training with submap sampling and sim/real-like domain mixing.
 
 A training sample is a window of observations, the map, and the ground
-truth node per step.  Each draw resamples a bounded submap containing all
-targets (augmentation), unrolls the network over the window, and averages
-the per-step cross-entropy.  Mini-batches mix simulator samples (targets
-from poses) and real-like samples (targets from the stride rule) at a
-configurable ratio; early stopping follows the validation loss.
+truth node per step.  Each draw moves the window onto a freshly sampled
+bounded submap containing all its targets, with optional observation jitter
+(augmentation).  The loss of a mini-batch is the mean over its windows of
+each window's mean per-step cross-entropy.  Windows of equal length are
+unrolled together as one graph over the disjoint union of their submaps,
+with block-diagonal adjacency and per-submap batch norm and softmax, so one
+backward pass serves the whole group; windows of other lengths form groups
+of their own and are never padded.  Mini-batches mix simulator samples
+(targets from poses) and real-like samples (targets from the stride rule)
+at a configurable ratio; early stopping follows the validation loss.
 """
 
 from __future__ import annotations
@@ -56,12 +61,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tau < 1:
-            raise ValueError("tau must be >= 1")
+        for name in ("tau", "n_prime", "patience_iters", "batch_size", "max_iters",
+                     "val_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.mix_ratio <= 1.0:
             raise ValueError("mix_ratio must lie in [0, 1]")
-        if self.patience_iters < 1:
-            raise ValueError("patience_iters must be >= 1")
+        if self.jitter < 0.0:
+            raise ValueError("jitter must be >= 0")
 
     def to_dict(self):
         return dict(self.__dict__)
@@ -115,23 +122,46 @@ def window(sample: Sample, start: int, tau: int) -> Sample:
     )
 
 
-def sequence_loss(model: L.Localizer, sample: Sample, cfg: TrainConfig, rng) -> Tensor:
-    """Mean cross-entropy over the window, on a freshly sampled submap."""
+def augment(sample: Sample, cfg: TrainConfig, rng) -> Sample:
+    """The sample moved onto a freshly sampled submap holding its targets, with jitter.
+
+    Draws the submap seed, then the jitter, from `rng`.
+    """
     sub = sample_submap(sample.topo, sample.targets, cfg.n_prime,
                         int(rng.integers(2 ** 63)))
-    targets = [sub.node_mapping[y] for y in sample.targets]
     obs = sample.observations
     if cfg.jitter > 0:
         obs = obs + cfg.jitter * rng.normal(size=obs.shape)
-    ctx = L.make_context(model, sub.submap)
-    state = L.reset_state(sub.submap.n, model.cfg.d_h)
-    steps = obs.shape[0]
-    total = Tensor.const(0.0)
-    for t in range(steps):
-        _, _, state, logits = L.localize_step(model, state, obs[t], sub.submap, ctx,
-                                              return_logits=True)
-        total = total + cross_entropy(logits, targets[t])
-    return total * (1.0 / steps)
+    return Sample(obs, sample.poses, sub.submap,
+                  [sub.node_mapping[y] for y in sample.targets], sample.domain)
+
+
+def sequence_loss(model: L.Localizer, windows) -> Tensor:
+    """Mean over `windows` of each window's mean cross-entropy on its own map.
+
+    Windows of equal length run as one unrolled graph over the disjoint
+    union of their maps; each length forms its own group.
+    """
+    if not windows:
+        raise ValueError("sequence_loss needs at least one window")
+    groups = {}
+    for w in windows:
+        L.check_observations(model, w.observations, w.topo)
+        groups.setdefault(w.observations.shape[0], []).append(w)
+    total = None
+    for steps, group in groups.items():
+        ctx = L.make_context(model, *(w.topo for w in group))
+        state = L.reset_state(ctx.node_embs.shape[0], model.cfg.d_h)
+        obs = np.stack([w.observations for w in group], axis=1)  # (steps, maps, d_obs)
+        targets = np.array([w.targets for w in group]).T + ctx.segments.starts
+        group_total = None
+        for t in range(steps):
+            logits, state = L.step_logits(model, state, obs[t], ctx)
+            ce = cross_entropy(logits, targets[t], ctx.segments)
+            group_total = ce if group_total is None else group_total + ce
+        term = group_total * (1.0 / steps)
+        total = term if total is None else total + term
+    return total * (1.0 / len(windows))
 
 
 @dataclass
@@ -158,9 +188,9 @@ def _draw_window(sample: Sample, tau: int, rng) -> Sample:
 
 def validation_loss(model, val_samples, cfg, seed=12345):
     rng = np.random.default_rng(seed)
+    windows = [augment(s, cfg, rng) for s in val_samples]
     with no_grad():
-        losses = [sequence_loss(model, s, cfg, rng).item() for s in val_samples]
-    return float(np.mean(losses))
+        return sequence_loss(model, windows).item()
 
 
 @contextmanager
@@ -203,10 +233,10 @@ def train(model: L.Localizer, sim_set, real_set, val_set, cfg: TrainConfig):
                 pool = real_set if use_real else sim_set
                 batch.append(pool[int(rng.integers(len(pool)))])
             opt.zero_grad()
-            loss = Tensor.const(0.0)
-            for sample in batch:
-                loss = loss + sequence_loss(model, _draw_window(sample, cfg.tau, rng), cfg, rng)
-            loss = loss * (1.0 / len(batch))
+            # per sample: window start, then submap seed and jitter
+            windows = [augment(_draw_window(sample, cfg.tau, rng), cfg, rng)
+                       for sample in batch]
+            loss = sequence_loss(model, windows)
             loss.backward()
             opt.step()
             if it % cfg.val_every == 0 or it == cfg.max_iters:

@@ -153,6 +153,20 @@ def test_train_rejects_untrainable_method(pipeline, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("config, message", [({"batch_sise": 2}, "batch_sise"),
+                                             ({"val_every": 0}, "val_every")])
+def test_train_config_error_exits_2(pipeline, tmp_path, capsys, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code = main(["train", "--map", os.path.join(pipeline, "map.json"),
+                 "--sim-data", os.path.join(pipeline, "sim.json"),
+                 "--val-data", os.path.join(pipeline, "sim.json"),
+                 "--out", str(tmp_path), "--method", "ours", "--config", str(path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "checkpoint_ours.json")
+
+
 @pytest.mark.parametrize("index", ["1", "-1"])
 def test_build_map_index_out_of_range(pipeline, tmp_path, capsys, index):
     # mapping.json holds a single trajectory

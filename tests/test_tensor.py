@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import topoloc.localizer as L
 import topoloc.trainer as TR
 from topoloc import tensor as T
-from topoloc.tensor import (Adam, Tensor, batch_norm, concat,
+from topoloc.tensor import (Adam, Segments, Tensor, batch_norm, concat,
                             cross_entropy, gin, grad_check, linear, load_checkpoint,
                             no_grad, save_checkpoint, softmax_rows)
 from topoloc.topo_graph import MapConfig, TopoMap
@@ -292,6 +292,59 @@ def test_batch_norm_matches_unfused_expression_and_finite_differences(n, eps):
     assert max(grad_check(fused, p).values()) < 1e-6
 
 
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_one_segment_ops_are_bit_identical_to_unsegmented(n):
+    rng = np.random.default_rng(90 + n)
+    p = {"x": Tensor.param(rng.normal(loc=2.0, size=(n, 3)), name="x"),
+         "gamma": Tensor.param(rng.normal(size=3), name="gamma"),
+         "beta": Tensor.param(rng.normal(size=3), name="beta"),
+         "logits": Tensor.param(rng.normal(size=n) * 3.0, name="logits")}
+    weights = Tensor.const(rng.normal(size=(n, 3)))
+    target = int(rng.integers(n))
+
+    def bn(segments):
+        return (batch_norm(p["x"], p["gamma"], p["beta"], 1e-5, segments) * weights).sum()
+
+    def ce(segments):
+        return cross_entropy(p["logits"], target, segments)
+
+    for loss in (bn, ce):
+        assert np.array_equal(loss(None).data, loss(Segments((n,))).data)
+        plain = gradients(lambda: loss(None), p)
+        segmented = gradients(lambda: loss(Segments((n,))), p)
+        for k in p:
+            assert np.array_equal(plain[k], segmented[k]), k
+
+
+def test_segmented_ops_match_each_segment_alone_and_finite_differences():
+    sizes = (1, 3, 5)
+    bounds = list(zip(np.cumsum((0,) + sizes[:-1]), np.cumsum(sizes)))
+    seg = Segments(sizes)
+    rng = np.random.default_rng(95)
+    p = {"x": Tensor.param(rng.normal(loc=2.0, size=(9, 3)), name="x"),
+         "gamma": Tensor.param(rng.normal(size=3), name="gamma"),
+         "beta": Tensor.param(rng.normal(size=3), name="beta"),
+         "logits": Tensor.param(rng.normal(size=9) * 3.0, name="logits")}
+    weights = Tensor.const(rng.normal(size=(9, 3)))
+    targets = [0, 2, 8]
+    stacked = batch_norm(p["x"], p["gamma"], p["beta"], segments=seg).data
+    alone = np.concatenate([batch_norm(Tensor.const(p["x"].data[a:b]), p["gamma"],
+                                       p["beta"]).data for a, b in bounds])
+    assert np.allclose(stacked, alone, rtol=0.0, atol=1e-12)
+    terms = [cross_entropy(Tensor.const(p["logits"].data[a:b]), t - a).item()
+             for (a, b), t in zip(bounds, targets)]
+    assert cross_entropy(p["logits"], targets, seg).item() == pytest.approx(sum(terms),
+                                                                          rel=1e-14)
+    bn = lambda: (batch_norm(p["x"], p["gamma"], p["beta"], segments=seg) * weights).sum()
+    ce = lambda: cross_entropy(p["logits"], targets, seg)
+    assert max(grad_check(bn, p).values()) < 1e-6
+    assert max(grad_check(ce, p).values()) < 1e-6
+    with pytest.raises(IndexError):  # a target outside its own segment
+        cross_entropy(p["logits"], [0, 0, 8], seg)
+    with pytest.raises(ValueError):
+        cross_entropy(p["logits"], [0, 2], seg)
+
+
 def gclstm_inputs(n, seed):
     """A GCLSTM cell with nonzero GIN eps and peepholes, a random graph and state."""
     rng = np.random.default_rng(seed)
@@ -419,17 +472,54 @@ def test_training_step_records_at_most_25_graph_nodes(variant, monkeypatch):
     assert 0 < len(recorded) <= 25
 
 
+def batch_windows(variant="full", steps=5):
+    """A model and four windows on maps of 6, 1, 4 and 9 nodes, `steps` long."""
+    model, _, observations = small_model_and_map(variant, seed=41)
+    rng = np.random.default_rng(42)
+    windows = []
+    for n in (6, 1, 4, 9):
+        topo = TopoMap(rng.normal(size=(n, model.cfg.d_obs)), None,
+                       [(i, i + 1) for i in range(n - 1)], MapConfig())
+        obs = rng.normal(size=(steps, model.cfg.d_obs))
+        windows.append(TR.Sample(obs, None, topo, [int(rng.integers(n)) for _ in range(steps)],
+                                 TR.REAL_LIKE))
+    return model, windows
+
+
+@pytest.mark.parametrize("variant", L.VARIANTS)
+def test_training_iteration_records_same_graph_for_one_and_four_windows(variant,
+                                                                        monkeypatch):
+    recorded = []
+    record = Tensor._record
+
+    def counting_record(self, inputs, backward):
+        recorded.append(self)
+        record(self, inputs, backward)
+
+    monkeypatch.setattr(Tensor, "_record", counting_record)
+
+    def nodes(windows, model):
+        del recorded[:]
+        TR.sequence_loss(model, windows)
+        return len(recorded)
+
+    model, windows = batch_windows(variant, steps=4)
+    _, longer = batch_windows(variant, steps=5)
+    assert nodes(windows[:1], model) == nodes(windows, model)
+    per_step = nodes(longer, model) - nodes(windows, model)
+    assert 0 < per_step <= 25
+
+
 def test_backward_frees_graph_without_reference_cycles():
-    model, topo, observations = small_model_and_map(n=5)
-    sample = TR.Sample(observations, None, topo, [0, 1, 2, 3, 4], TR.REAL_LIKE)
-    cfg = TR.TrainConfig(tau=4, n_prime=5)
+    model, windows = batch_windows()
+    windows.append(TR.window(windows[0], 1, 2))  # a second, shorter group
     gc.collect()
     saved = list(gc.garbage)
     gc.garbage.clear()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        loss = TR.sequence_loss(model, sample, cfg, np.random.default_rng(0))
+        loss = TR.sequence_loss(model, windows)
         loss.backward()
         del loss
         gc.collect()

@@ -106,7 +106,7 @@ def test_sequence_loss_near_log_n_for_symmetric_model():
     topo = TopoMap(desc, poses, edges, MapConfig())
     sample = sim_sample(topo, 6, seed=8)
     tc = TR.TrainConfig(tau=5, n_prime=n)
-    loss = TR.sequence_loss(model, sample, tc, np.random.default_rng(9))
+    loss = TR.sequence_loss(model, [TR.augment(sample, tc, np.random.default_rng(9))])
     assert abs(loss.item() - np.log(n)) < 1e-6
 
 
@@ -115,7 +115,7 @@ def test_sequence_loss_finite_nonnegative():
     model = L.Localizer(small_cfg(), seed=11).train()
     sample = sim_sample(topo, 8, seed=12)
     tc = TR.TrainConfig(tau=7, n_prime=7, jitter=0.1)
-    loss = TR.sequence_loss(model, sample, tc, np.random.default_rng(13))
+    loss = TR.sequence_loss(model, [TR.augment(sample, tc, np.random.default_rng(13))])
     assert np.isfinite(loss.item()) and loss.item() >= 0.0
 
 
@@ -128,7 +128,7 @@ def test_remapped_targets_always_in_submap():
     for seed in range(20):
         win = TR._draw_window(sample, tc.tau, rng)
         # raises KeyError inside if a target is missing from the submap
-        TR.sequence_loss(model, win, tc, np.random.default_rng(seed))
+        TR.sequence_loss(model, [TR.augment(win, tc, np.random.default_rng(seed))])
 
 
 def test_memorization_drops_loss_by_ninety_percent():
@@ -142,6 +142,55 @@ def test_memorization_drops_loss_by_ninety_percent():
     initial = hist.rows[0][1]
     final = min(r[1] for r in hist.rows)
     assert final <= 0.1 * initial
+
+
+def mixed_windows(d_obs, seed):
+    """Windows of 5 or 3 steps on chains of 5, 1, 8, 3 and 5 nodes.
+
+    Chains, not rings: on a ring whose nodes all get equal features, every
+    row of a batch norm's input is equal, relu(batch_norm) sits on its kink
+    and rounding picks the gradient, which no summation order reproduces.
+    """
+    rng = np.random.default_rng(seed)
+    windows = []
+    for n, steps in ((5, 5), (1, 3), (8, 5), (3, 3), (5, 5)):
+        edges = [(i, i + 1) for i in range(n - 1)]
+        topo = TopoMap(rng.normal(size=(n, d_obs)), None, edges, MapConfig())
+        windows.append(TR.Sample(rng.normal(size=(steps, d_obs)), None, topo,
+                                 [int(rng.integers(n)) for _ in range(steps)], TR.REAL_LIKE))
+    return windows
+
+
+@pytest.mark.parametrize("variant", L.VARIANTS)
+def test_batched_loss_and_gradients_match_mean_of_window_losses(variant):
+    model = L.Localizer(small_cfg(variant=variant), seed=44).train()
+    windows = mixed_windows(4, seed=45)
+    params = model.parameters()
+
+    def run(loss_fn):
+        for p in params:
+            p.grad = None
+        loss = loss_fn()
+        loss.backward()
+        return loss.item(), [p.grad.copy() for p in params]
+
+    batched, batched_grads = run(lambda: TR.sequence_loss(model, windows))
+    single = [run(lambda w=w: TR.sequence_loss(model, [w])) for w in windows]
+    mean_loss = sum(loss for loss, _ in single) / len(windows)
+    mean_grads = [sum(grads[k] for _, grads in single) / len(windows)
+                  for k in range(len(params))]
+    scale = max(float(np.max(np.abs(g))) for g in mean_grads)
+    assert batched == pytest.approx(mean_loss, rel=1e-12)
+    for got, want in zip(batched_grads, mean_grads):
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_sequence_loss_rejects_non_finite_observations():
+    model = L.Localizer(small_cfg(), seed=46).train()
+    windows = mixed_windows(4, seed=47)
+    windows[2].observations[1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        TR.sequence_loss(model, windows)
 
 
 # -- train loop --------------------------------------------------------------
@@ -266,3 +315,11 @@ def test_config_validation():
         TR.TrainConfig(mix_ratio=1.5)
     with pytest.raises(ValueError):
         TR.TrainConfig(patience_iters=0)
+
+
+@pytest.mark.parametrize("field, value", [("batch_size", 0), ("val_every", 0),
+                                          ("max_iters", 0), ("n_prime", 0),
+                                          ("jitter", -0.1)])
+def test_config_rejects_degenerate_value(field, value):
+    with pytest.raises(ValueError, match=field):
+        TR.TrainConfig(**{field: value})
