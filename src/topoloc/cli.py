@@ -58,17 +58,28 @@ def _meta(args_dict, seed):
     return {"seed": seed, "config_hash": config_hash(args_dict)}
 
 
+def _config(args, defaults, build):
+    """`build(defaults updated by --config)`; an unknown key or rejected value is a CliError."""
+    overrides = _load_json(args.config, "config") if args.config else {}
+    if not isinstance(overrides, dict):
+        raise CliError(f"config {args.config} must hold a JSON object")
+    unknown = sorted(overrides.keys() - defaults.keys())
+    if unknown:
+        raise CliError(f"unknown config keys {unknown} in {args.config}")
+    try:
+        return build({**defaults, **overrides})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"bad config {args.config}: {exc}") from exc
+
+
 # -- commands ----------------------------------------------------------------
 
 
 def cmd_gen_world(args):
-    overrides = _load_json(args.config, "config") if args.config else {}
-    spec = W.benchmark_spec(seed=args.seed)
-    sd = spec.to_dict()
-    sd.update(overrides)
-    sd["seed"] = args.seed
-    spec = W.WorldSpec.from_dict(sd)
-    W.generate_world(spec)  # validates the layout
+    # generating the world validates the layout
+    world = _config(args, W.benchmark_spec(seed=args.seed).to_dict(),
+                    lambda d: W.generate_world(W.WorldSpec.from_dict({**d, "seed": args.seed})))
+    sd = world.spec.to_dict()
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "world.json")
     _write_json(path, _meta(sd, args.seed), {"spec": sd})
@@ -128,7 +139,7 @@ def load_trajectories(path):
 
 
 def cmd_build_map(args):
-    mc = MapConfig(**(_load_json(args.config, "config") if args.config else {}))
+    mc = _config(args, MapConfig().to_dict(), MapConfig.from_dict)
     domain, trajs = load_trajectories(args.trajectories)
     if not 0 <= args.index < len(trajs):
         raise CliError(f"--index {args.index} out of range: {args.trajectories} "
@@ -166,11 +177,7 @@ def build_real_samples(real_trajs, m_stride):
 def cmd_train(args):
     if args.method not in ("ours", "no_gclstm", "no_skip"):
         raise CliError(f"cannot train method {args.method!r}")
-    overrides = _load_json(args.config, "config") if args.config else {}
-    try:
-        tc = TR.TrainConfig(**overrides)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad train config {args.config}: {exc}") from exc
+    tc = _config(args, TR.TrainConfig().to_dict(), TR.TrainConfig.from_dict)
     tc.seed = args.seed
     topo = load_map(args.map)
     mc = topo.config or MapConfig()
@@ -309,13 +316,14 @@ def build_parser():
                                 description="topological-map localization pipeline")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", default=None)
+    def common(sp, config=False):
+        if config:
+            sp.add_argument("--config", default=None, help="JSON object of config overrides")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default="out")
 
     sp = sub.add_parser("gen-world", help="write a world spec artifact")
-    common(sp)
+    common(sp, config=True)
     sp.set_defaults(func=cmd_gen_world)
 
     sp = sub.add_parser("collect", help="generate trajectories + observations")
@@ -330,7 +338,7 @@ def build_parser():
     sp.set_defaults(func=cmd_collect)
 
     sp = sub.add_parser("build-map", help="build a topological map artifact")
-    common(sp)
+    common(sp, config=True)
     sp.add_argument("--trajectories", required=True)
     sp.add_argument("--style", choices=("sim", "real"), default="sim")
     sp.add_argument("--index", type=int, default=0)
@@ -338,7 +346,7 @@ def build_parser():
     sp.set_defaults(func=cmd_build_map)
 
     sp = sub.add_parser("train", help="train a localizer checkpoint")
-    common(sp)
+    common(sp, config=True)
     sp.add_argument("--map", required=True)
     sp.add_argument("--sim-data", required=True)
     sp.add_argument("--real-data", default=None)

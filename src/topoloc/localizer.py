@@ -11,6 +11,11 @@ each node's concatenated features to a likelihood, softmaxed over nodes.
 Variants: "no_gclstm" replaces the recurrent layer with a stateless
 per-node FC stack, "no_skip" drops the skip path.
 
+The param dataclasses alone declare the parameters (the encoder and the
+pair net are two ``MLPParams``; batch norm is a ``(gamma, beta)`` tuple).
+Every parameter list is derived by walking them in field order, and the
+parameter names are the checkpoint format.
+
 One forward, ``step_logits``, serves inference and training.  It runs on a
 ``MapContext`` holding one map or the disjoint union of several: node rows
 concatenated, a block-diagonal adjacency, and one observation per map.
@@ -21,12 +26,12 @@ mini-batch together over the union of their submaps.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, BatchNorm, Segments, concat, gclstm_cell, gin, linear
+from .tensor import Tensor, Segments, batch_norm, concat, gclstm_cell, gin, linear
 from .topo_graph import TopoMap
 
 VARIANTS = ("full", "no_gclstm", "no_skip")
@@ -64,30 +69,20 @@ def _linear_init(rng, fan_in, fan_out, name):
     return Tensor.param(w, name=f"{name}.W"), Tensor.param(b, name=f"{name}.b")
 
 
+def _norm_init(dim, name):
+    """Batch-norm affine ``(gamma, beta)``, starting as the identity."""
+    return (Tensor.param(np.ones(dim), name=f"{name}.gamma"),
+            Tensor.param(np.zeros(dim), name=f"{name}.beta"))
+
+
 @dataclass
-class EncoderParams:
+class MLPParams:
     layers: list  # [(W, b), ...], ReLU between layers
 
     @staticmethod
-    def init(cfg, rng):
-        dims = [cfg.d_obs, cfg.enc_hidden, cfg.enc_hidden, cfg.d_emb]
-        return EncoderParams([
-            _linear_init(rng, dims[i], dims[i + 1], f"encoder.{i}") for i in range(3)
-        ])
-
-
-@dataclass
-class PairNetParams:
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-    @staticmethod
-    def init(cfg, rng):
-        w1, b1 = _linear_init(rng, 2 * cfg.d_emb, cfg.d_x, "pair.0")
-        w2, b2 = _linear_init(rng, cfg.d_x, cfg.d_x, "pair.1")
-        return PairNetParams(w1, b1, w2, b2)
+    def init(dims, rng, name):
+        return MLPParams([_linear_init(rng, dims[i], dims[i + 1], f"{name}.{i}")
+                          for i in range(len(dims) - 1)])
 
 
 @dataclass
@@ -118,21 +113,15 @@ class GCLSTMParams:
 
     @staticmethod
     def init(cfg, rng):
-        gins = []
-        for k in range(1, 9):
-            d_in = cfg.d_x if k % 2 == 1 else cfg.d_h
-            gins.append(GINParams.init(d_in, cfg.gin_hidden, cfg.d_h, rng, f"gclstm.gin{k}"))
         d = cfg.d_h
-        return GCLSTMParams(
-            gins,
-            Tensor.param(0.1 * rng.normal(size=d), name="gclstm.w_ci"),
-            Tensor.param(0.1 * rng.normal(size=d), name="gclstm.w_cf"),
-            Tensor.param(0.1 * rng.normal(size=d), name="gclstm.w_co"),
-            Tensor.param(np.zeros(d), name="gclstm.b_i"),
-            Tensor.param(np.ones(d), name="gclstm.b_f"),  # forget bias 1: retain memory early
-            Tensor.param(np.zeros(d), name="gclstm.b_c"),
-            Tensor.param(np.zeros(d), name="gclstm.b_o"),
-        )
+        gins = [GINParams.init(cfg.d_x if k % 2 == 1 else d, cfg.gin_hidden, d, rng,
+                               f"gclstm.gin{k}") for k in range(1, 9)]
+        peepholes = [Tensor.param(0.1 * rng.normal(size=d), name=f"gclstm.w_c{g}")
+                     for g in "ifo"]
+        # forget bias 1: retain memory early
+        biases = [Tensor.param(np.full(d, 1.0 if g == "f" else 0.0), name=f"gclstm.b_{g}")
+                  for g in "ifco"]
+        return GCLSTMParams(gins, *peepholes, *biases)
 
 
 @dataclass
@@ -146,18 +135,17 @@ class FrameNetParams:
     """Per-node FC stack standing in for the recurrent layer (w/o GCLSTM)."""
     w1: Tensor
     b1: Tensor
-    bn1: BatchNorm
     w2: Tensor
     b2: Tensor
-    bn2: BatchNorm
+    bn1: tuple  # (gamma, beta)
+    bn2: tuple
 
     @staticmethod
     def init(cfg, rng):
         w1, b1 = _linear_init(rng, cfg.d_x, cfg.d_h, "frame.0")
         w2, b2 = _linear_init(rng, cfg.d_h, cfg.d_h, "frame.1")
-        bn1 = BatchNorm(cfg.d_h, name="frame.bn0")
-        bn2 = BatchNorm(cfg.d_h, name="frame.bn1")
-        return FrameNetParams(w1, b1, bn1, w2, b2, bn2)
+        return FrameNetParams(w1, b1, w2, b2, _norm_init(cfg.d_h, "frame.bn0"),
+                              _norm_init(cfg.d_h, "frame.bn1"))
 
 
 @dataclass
@@ -175,22 +163,21 @@ class SkipParams:
 class HeadParams:
     w1: Tensor
     b1: Tensor
-    bn: BatchNorm
     w2: Tensor
     b2: Tensor
+    bn: tuple  # (gamma, beta), between the two layers
 
     @staticmethod
     def init(cfg, rng, d_in):
         w1, b1 = _linear_init(rng, d_in, cfg.head_hidden, "head.0")
         w2, b2 = _linear_init(rng, cfg.head_hidden, 1, "head.1")
-        bn = BatchNorm(cfg.head_hidden, name="head.bn")
-        return HeadParams(w1, b1, bn, w2, b2)
+        return HeadParams(w1, b1, w2, b2, _norm_init(cfg.head_hidden, "head.bn"))
 
 
 # -- forward operations ------------------------------------------------------
 
 
-def encode(params: EncoderParams, x: Tensor) -> Tensor:
+def _mlp(params: MLPParams, x: Tensor) -> Tensor:
     out = x
     for i, (w, b) in enumerate(params.layers):
         out = linear(out, w, b)
@@ -199,7 +186,11 @@ def encode(params: EncoderParams, x: Tensor) -> Tensor:
     return out
 
 
-def pair_features(params: PairNetParams, current_emb: Tensor, node_embs: Tensor,
+def encode(params: MLPParams, x: Tensor) -> Tensor:
+    return _mlp(params, x)
+
+
+def pair_features(params: MLPParams, current_emb: Tensor, node_embs: Tensor,
                   member: Tensor | None = None) -> Tensor:
     """Per-node features from (query, node) embedding pairs.
 
@@ -210,9 +201,7 @@ def pair_features(params: PairNetParams, current_emb: Tensor, node_embs: Tensor,
     if member is None:
         member = Tensor.const(np.ones((node_embs.shape[0], 1)))
     tiled = member @ current_emb
-    z = concat([tiled, node_embs], axis=1)
-    a = linear(z, params.w1, params.b1).relu()
-    return linear(a, params.w2, params.b2)
+    return _mlp(params, concat([tiled, node_embs], axis=1))
 
 
 def _as_adjacency(x_rows, edges):
@@ -241,8 +230,8 @@ def gclstm_step(params: GCLSTMParams, x: Tensor, edges, state: GCLSTMState):
 
 
 def frame_forward(params: FrameNetParams, x: Tensor, segments: Segments) -> Tensor:
-    a = params.bn1(linear(x, params.w1, params.b1), segments).relu()
-    return params.bn2(linear(a, params.w2, params.b2), segments).relu()
+    a = batch_norm(linear(x, params.w1, params.b1), *params.bn1, segments=segments).relu()
+    return batch_norm(linear(a, params.w2, params.b2), *params.bn2, segments=segments).relu()
 
 
 def skip_path(params: SkipParams, x: Tensor) -> Tensor:
@@ -253,17 +242,30 @@ def identify_logits(params: HeadParams, h: Tensor, skip: Tensor | None,
                     segments: Segments | None = None) -> Tensor:
     """Per-node logits; batch norm uses the statistics of each map's rows."""
     z = concat([h, skip], axis=1) if skip is not None else h
-    a = params.bn(linear(z, params.w1, params.b1), segments).relu()
+    a = batch_norm(linear(z, params.w1, params.b1), *params.bn, segments=segments).relu()
     return linear(a, params.w2, params.b2).reshape((h.shape[0],))
 
 
 def reset_state(n: int, d_h: int) -> GCLSTMState:
     if n <= 0 or d_h <= 0:
         raise ValueError("state dimensions must be positive")
-    return GCLSTMState(Tensor.zeros((n, d_h)), Tensor.zeros((n, d_h)))
+    return GCLSTMState(Tensor(np.zeros((n, d_h))), Tensor(np.zeros((n, d_h))))
 
 
 # -- model container ---------------------------------------------------------
+
+
+def _tensors(params):
+    """The tensors in param dataclasses, lists and tuples, in declaration order."""
+    if isinstance(params, Tensor):
+        return [params]
+    if params is None:
+        return []
+    if is_dataclass(params):
+        params = [getattr(params, f.name) for f in fields(params)]
+    elif not isinstance(params, (list, tuple)):
+        raise TypeError(f"not a parameter container: {type(params).__name__}")
+    return [t for p in params for t in _tensors(p)]
 
 
 @dataclass
@@ -285,21 +287,14 @@ class Localizer:
         self.cfg = cfg
         self.training = True
         rng = np.random.default_rng(seed)
-        self.encoder = EncoderParams.init(cfg, rng)
-        self.pair = PairNetParams.init(cfg, rng)
-        if cfg.variant == "no_gclstm":
-            self.gclstm = None
-            self.frame = FrameNetParams.init(cfg, rng)
-        else:
-            self.gclstm = GCLSTMParams.init(cfg, rng)
-            self.frame = None
-        if cfg.variant == "no_skip":
-            self.skip = None
-            head_in = cfg.d_h
-        else:
-            self.skip = SkipParams.init(cfg, rng)
-            head_in = cfg.d_h + cfg.d_skip
-        self.head = HeadParams.init(cfg, rng, head_in)
+        self.encoder = MLPParams.init([cfg.d_obs, cfg.enc_hidden, cfg.enc_hidden, cfg.d_emb],
+                                      rng, "encoder")
+        self.pair = MLPParams.init([2 * cfg.d_emb, cfg.d_x, cfg.d_x], rng, "pair")
+        recurrent = cfg.variant != "no_gclstm"
+        self.gclstm = GCLSTMParams.init(cfg, rng) if recurrent else None
+        self.frame = None if recurrent else FrameNetParams.init(cfg, rng)
+        self.skip = None if cfg.variant == "no_skip" else SkipParams.init(cfg, rng)
+        self.head = HeadParams.init(cfg, rng, cfg.d_h + (0 if self.skip is None else cfg.d_skip))
 
     def train(self):
         self.training = True
@@ -312,24 +307,10 @@ class Localizer:
     # -- parameter bookkeeping ----------------------------------------------
 
     def encoder_params(self):
-        return [t for pair in self.encoder.layers for t in pair]
+        return _tensors(self.encoder)
 
     def other_params(self):
-        out = [self.pair.w1, self.pair.b1, self.pair.w2, self.pair.b2]
-        if self.gclstm is not None:
-            for g in self.gclstm.gins:
-                out += [g.w1, g.b1, g.w2, g.b2, g.eps]
-            out += [self.gclstm.w_ci, self.gclstm.w_cf, self.gclstm.w_co,
-                    self.gclstm.b_i, self.gclstm.b_f, self.gclstm.b_c, self.gclstm.b_o]
-        if self.frame is not None:
-            out += [self.frame.w1, self.frame.b1, self.frame.w2, self.frame.b2]
-            out += list(self.frame.bn1.params().values())
-            out += list(self.frame.bn2.params().values())
-        if self.skip is not None:
-            out += [self.skip.w, self.skip.b]
-        out += [self.head.w1, self.head.b1, self.head.w2, self.head.b2]
-        out += list(self.head.bn.params().values())
-        return out
+        return _tensors([self.pair, self.gclstm, self.frame, self.skip, self.head])
 
     def parameters(self):
         return self.encoder_params() + self.other_params()
@@ -355,6 +336,8 @@ class Localizer:
                 raise KeyError(f"unknown parameter {name!r} in checkpoint")
             if tuple(own[name].data.shape) != tuple(data.shape):
                 raise ValueError(f"shape mismatch for {name!r}")
+            if not np.all(np.isfinite(data)):
+                raise ValueError(f"non-finite values in parameter {name!r}")
             own[name].data = data.copy()
 
     @staticmethod

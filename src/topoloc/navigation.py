@@ -4,8 +4,10 @@ Each trial loops {render observation -> localize -> plan/subgoal -> control
 step} until arrival, collision, or timeout.  Planning follows the parents
 of the map's cached minimum-hop search over directed edges
 (`TopoMap.bfs`), so replanning from a node already searched from costs no
-new search; control is a proportional heading/distance servo with capped
-velocities and segment-vs-wall collision checks.
+new search.  A trial replans at every step and has arrived within
+``ARRIVAL_RADIUS`` of the goal pose; control is a proportional
+heading/distance servo with the default ``ControlGains``, capped velocities
+and segment-vs-wall collision checks.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .topo_graph import UNREACHABLE, Pose2D, TopoMap, nearest_node, wrap_angle_d
 SUCCESS = "success"
 COLLISION = "collision"
 TIMEOUT = "timeout"
+ARRIVAL_RADIUS = 0.5  # metres from the goal pose that count as arrival
 
 
 @dataclass
@@ -35,9 +38,6 @@ class ControlGains:
 class NavConfig:
     goal_node: int = 0
     time_limit_steps: int = 400
-    gains: ControlGains = field(default_factory=ControlGains)
-    arrival_radius: float = 0.5
-    replan_every: int = 1
     omega_m: float = 0.025
 
 
@@ -124,30 +124,29 @@ def run_trial(world: World, topo: TopoMap, localizer, obs_model, start: Pose2D,
         nominal = plan_dijkstra(topo, start_node, cfg.goal_node)
     except ValueError:
         nominal = [cfg.goal_node]
+    gains = ControlGains()
     status = TIMEOUT
-    plan = None
     for step in range(cfg.time_limit_steps):
-        if math.hypot(pose.x - goal_pose.x, pose.y - goal_pose.y) <= cfg.arrival_radius:
+        if math.hypot(pose.x - goal_pose.x, pose.y - goal_pose.y) <= ARRIVAL_RADIUS:
             status = SUCCESS
             break
         obs = render_observation(world, pose, obs_model, "sim", rng)
         node = localizer.step(obs, pose)
-        if plan is None or step % cfg.replan_every == 0:
-            try:
-                plan = plan_dijkstra(topo, node, cfg.goal_node)
-            except ValueError:
-                plan = [cfg.goal_node]
+        try:
+            plan = plan_dijkstra(topo, node, cfg.goal_node)
+        except ValueError:
+            plan = [cfg.goal_node]
         subgoal = next_subgoal(plan, node, topo)
         log.append((step, node, subgoal))
-        pose, collided = control_step(world, pose, topo.poses[subgoal], cfg.gains)
+        pose, collided = control_step(world, pose, topo.poses[subgoal], gains)
         visited.append(pose)
         if collided:
             status = COLLISION
             break
     else:
-        if math.hypot(pose.x - goal_pose.x, pose.y - goal_pose.y) <= cfg.arrival_radius:
+        if math.hypot(pose.x - goal_pose.x, pose.y - goal_pose.y) <= ARRIVAL_RADIUS:
             status = SUCCESS
-    coverage = _coverage(visited, [topo.poses[i] for i in nominal], cfg.arrival_radius)
+    coverage = _coverage(visited, [topo.poses[i] for i in nominal], ARRIVAL_RADIUS)
     return TrialOutcome(status, visited, coverage, len(visited) - 1, log)
 
 

@@ -2,8 +2,9 @@
 
 Small tape-free autograd.  An operation whose inputs include a tensor that
 requires grad returns a Tensor that remembers those inputs and a closure
-accumulating adjoints into them; other operations, and every operation
-inside a ``no_grad()`` block, return a plain value with no graph.  Closures
+accumulating adjoints into them, set by ``Tensor._record``, the one way to
+make a graph node; other operations, and every operation inside a
+``no_grad()`` block, return a plain value with no graph.  Closures
 capture input tensors and arrays, never their own output, so a graph holds
 no reference cycle and is freed by reference counting.
 
@@ -19,6 +20,9 @@ backward: ``linear``, ``gin``, ``batch_norm``, ``cross_entropy`` and
 ``gclstm_cell``, whose one node yields both the output h and the cell state
 c as column blocks.  Each computes its forward in the same operation order as
 the unfused expression of primitives, so their values are bit-identical.
+No model path records ``sigmoid``, ``tanh``, ``exp``, ``sqrt``, ``mean``,
+``-`` or ``/``; they stay because the tests build the fused ops' references
+from them.
 
 ``batch_norm`` and ``cross_entropy`` also take ``Segments``: the row blocks
 of a batch that stacks several graphs.  They then normalize within each
@@ -76,17 +80,15 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward",
                  "_grad_owned", "_index")
 
-    def __init__(self, data, requires_grad=False, name=None, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad=False, name=None):
         if not (isinstance(data, np.ndarray) and data.dtype == np.float64):
             data = np.asarray(data, dtype=np.float64)
-        if _parents and not requires_grad:
-            requires_grad = any(p.requires_grad for p in _parents)
         self.data = data
         self.grad = None
         self.requires_grad = requires_grad
         self.name = name
-        self._parents = _parents
-        self._backward = _backward
+        self._parents = ()
+        self._backward = None
         self._grad_owned = False
         self._index = next(_creation_index)
 
@@ -105,10 +107,6 @@ class Tensor:
     @staticmethod
     def const(data):
         return Tensor(data)
-
-    @staticmethod
-    def zeros(shape):
-        return Tensor(np.zeros(shape))
 
     @property
     def shape(self):
@@ -584,27 +582,6 @@ def batch_norm(x, gamma, beta, eps=1e-5, segments=None):
                           - xhat * seg.spread(seg.reduce(np.add, gx * xhat) / n)) / std)
         out._record((x, gamma, beta), bwd)
     return out
-
-
-class BatchNorm:
-    """Batch normalization over the node (row) dimension with a learned affine.
-
-    It always normalizes with the statistics of the batch it is given, in
-    training and in evaluation alike; a localizer's batch is the full set of
-    map nodes, or with `segments` each map's block of a stack of maps, so the
-    output is deterministic and needs no running averages.
-    """
-
-    def __init__(self, dim, name="bn"):
-        self.gamma = Tensor.param(np.ones(dim), name=f"{name}.gamma")
-        self.beta = Tensor.param(np.zeros(dim), name=f"{name}.beta")
-        self.name = name
-
-    def __call__(self, x, segments=None):
-        return batch_norm(x, self.gamma, self.beta, segments=segments)
-
-    def params(self):
-        return {f"{self.name}.gamma": self.gamma, f"{self.name}.beta": self.beta}
 
 
 # -- optimizer ---------------------------------------------------------------

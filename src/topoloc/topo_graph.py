@@ -43,10 +43,6 @@ class Pose2D:
         self.y = float(self.y)
         self.theta = wrap_angle_deg(float(self.theta))
 
-    @property
-    def p(self):
-        return np.array([self.x, self.y])
-
     def to_dict(self):
         return {"x": self.x, "y": self.y, "theta": self.theta}
 
@@ -92,6 +88,8 @@ class TopoMap:
         self.descriptors = np.asarray(descriptors, dtype=np.float64)
         if self.descriptors.ndim != 2:
             raise ValueError("descriptors must be an (n, d) array")
+        if not np.all(np.isfinite(self.descriptors)):
+            raise ValueError("descriptors contain non-finite values")
         n = self.descriptors.shape[0]
         if poses is not None:
             poses = list(poses)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import topoloc.navigation as N
-from topoloc.cli import _sample_goal, _sample_start, main
+from topoloc.cli import _sample_goal, _sample_start, build_parser, main
 from topoloc.topo_graph import Pose2D, TopoMap
 
 
@@ -153,18 +153,45 @@ def test_train_rejects_untrainable_method(pipeline, tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("config, message", [({"batch_sise": 2}, "batch_sise"),
-                                             ({"val_every": 0}, "val_every")])
-def test_train_config_error_exits_2(pipeline, tmp_path, capsys, config, message):
+def _config_command(command, pipeline):
+    """(argv without --out and --config, the artifact it would write)."""
+    if command == "gen-world":
+        return ["gen-world"], "world.json"
+    if command == "build-map":
+        return ["build-map", "--trajectories", os.path.join(pipeline, "mapping.json")], "map.json"
+    return ["train", "--map", os.path.join(pipeline, "map.json"),
+            "--sim-data", os.path.join(pipeline, "sim.json"),
+            "--val-data", os.path.join(pipeline, "sim.json"),
+            "--method", "ours"], "checkpoint_ours.json"
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("train", {"batch_sise": 2}, "batch_sise"),
+    ("train", {"val_every": 0}, "val_every"),
+    ("gen-world", {"no_such_key": 1}, "no_such_key"),
+    ("gen-world", {"segments": []}, "segment"),
+    ("build-map", {"no_such_key": 1}, "no_such_key"),
+    ("build-map", {"m_stride": 0}, "m_stride"),
+])
+def test_train_config_error_exits_2(pipeline, tmp_path, capsys, command, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
-    code = main(["train", "--map", os.path.join(pipeline, "map.json"),
-                 "--sim-data", os.path.join(pipeline, "sim.json"),
-                 "--val-data", os.path.join(pipeline, "sim.json"),
-                 "--out", str(tmp_path), "--method", "ours", "--config", str(path)])
+    argv, artifact = _config_command(command, pipeline)
+    code = main(argv + ["--out", str(tmp_path), "--config", str(path)])
     assert code == 2
     assert message in capsys.readouterr().err
-    assert not os.path.exists(tmp_path / "checkpoint_ours.json")
+    assert not os.path.exists(tmp_path / artifact)
+
+
+@pytest.mark.parametrize("argv", [["collect", "--world", "w.json"],
+                                  ["eval-loc", "--map", "m.json", "--data", "d.json"],
+                                  ["eval-nav", "--world", "w.json", "--map", "m.json"],
+                                  ["report"]])
+def test_config_flag_only_where_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv + ["--config", "cfg.json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("index", ["1", "-1"])

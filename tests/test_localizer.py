@@ -410,7 +410,7 @@ def test_checkpoint_roundtrip_preserves_predictions(tmp_path):
 
 @pytest.mark.parametrize("variant", ["full", "no_gclstm"])
 def test_checkpoint_with_buffers_section_loads(tmp_path, variant):
-    # files written before BatchNorm lost its running statistics carry a
+    # files written while batch norm kept running statistics carry a
     # "buffers" section; it is ignored and predictions are unchanged
     cfg = small_cfg(variant=variant)
     model = L.Localizer(cfg, seed=52).eval()
@@ -442,6 +442,46 @@ def test_checkpoint_missing_parameter_rejected(tmp_path):
     del params["head.1.W"]
     with pytest.raises(KeyError, match="head.1.W"):
         L.Localizer(L.LocalizerConfig.from_dict(manifest), seed=48).load_state(params)
+
+
+_ENCODER_PAIR = ["encoder.0.W", "encoder.0.b", "encoder.1.W", "encoder.1.b",
+                 "encoder.2.W", "encoder.2.b", "pair.0.W", "pair.0.b", "pair.1.W", "pair.1.b"]
+_GCLSTM = [f"gclstm.gin{k}.{p}" for k in range(1, 9)
+           for p in ("mlp0.W", "mlp0.b", "mlp1.W", "mlp1.b", "eps")] + [
+    "gclstm.w_ci", "gclstm.w_cf", "gclstm.w_co",
+    "gclstm.b_i", "gclstm.b_f", "gclstm.b_c", "gclstm.b_o"]
+_FRAME = ["frame.0.W", "frame.0.b", "frame.1.W", "frame.1.b",
+          "frame.bn0.gamma", "frame.bn0.beta", "frame.bn1.gamma", "frame.bn1.beta"]
+_SKIP = ["skip.W", "skip.b"]
+_HEAD = ["head.0.W", "head.0.b", "head.1.W", "head.1.b", "head.bn.gamma", "head.bn.beta"]
+
+
+_NAMES = {"full": _ENCODER_PAIR + _GCLSTM + _SKIP + _HEAD,
+          "no_gclstm": _ENCODER_PAIR + _FRAME + _SKIP + _HEAD,
+          "no_skip": _ENCODER_PAIR + _GCLSTM + _HEAD}
+
+
+@pytest.mark.parametrize("variant", ["full", "no_gclstm", "no_skip"])
+def test_parameter_names_are_the_checkpoint_format(variant):
+    # a checkpoint stores parameters under these names in this order; renaming
+    # one would stop earlier checkpoints from loading
+    names = _NAMES[variant]
+    model = L.Localizer(small_cfg(variant=variant), seed=55)
+    assert list(model.named_params()) == names
+    assert [p.name for p in model.encoder_params()] == names[:6]
+
+
+def test_checkpoint_with_non_finite_parameter_rejected(tmp_path):
+    model = L.Localizer(small_cfg(), seed=56)
+    path = tmp_path / "model.json"
+    model.save(path)
+    with open(path) as fh:
+        blob = json.load(fh)
+    blob["params"]["head.bn.gamma"]["data"][1] = float("nan")
+    with open(path, "w") as fh:
+        json.dump(blob, fh)  # Python's json writes and reads NaN
+    with pytest.raises(ValueError, match="head.bn.gamma"):
+        L.Localizer.from_checkpoint(path)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -99,8 +99,8 @@ def test_grad_check_detects_corrupted_adjoint():
     w = Tensor.param(np.array([0.4, 0.9]), name="w")
 
     def bad_square(t):
-        out = Tensor(t.data ** 2, _parents=(t,))
-        out._backward = lambda g: t._accum(g * 3.0 * t.data)  # wrong factor
+        out = Tensor(t.data ** 2)
+        out._record((t,), lambda g: t._accum(g * 3.0 * t.data))  # wrong factor
         return out
 
     report = grad_check(lambda: bad_square(w).sum(), {"w": w})

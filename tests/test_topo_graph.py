@@ -368,6 +368,16 @@ def test_map_json_roundtrip_lossless(tmp_path):
     assert loaded.config.to_dict() == m.config.to_dict()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_map_json_with_non_finite_descriptor_rejected(tmp_path, bad):
+    blob = TopoMap(np.ones((3, 2)), None, [(0, 1), (1, 2)]).to_dict()
+    blob["nodes"][1]["descriptor"][0] = bad
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(blob))  # Python's json writes and reads NaN and Infinity
+    with pytest.raises(ValueError, match="non-finite"):
+        TopoMap.load(path)
+
+
 def test_map_json_roundtrip_poseless(tmp_path):
     m = build_map_real(np.random.default_rng(1).normal(size=(9, 3)), 4)
     path = tmp_path / "map.json"
