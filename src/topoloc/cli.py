@@ -59,11 +59,14 @@ def _meta(args_dict, seed):
 
 
 def _config(args, defaults, build):
-    """`build(defaults updated by --config)`; an unknown key or rejected value is a CliError."""
+    """`build(defaults updated by --config)`; an unknown key or rejected value is a CliError.
+
+    `seed` is not a config key: --seed alone sets it, in `defaults`.
+    """
     overrides = _load_json(args.config, "config") if args.config else {}
     if not isinstance(overrides, dict):
         raise CliError(f"config {args.config} must hold a JSON object")
-    unknown = sorted(overrides.keys() - defaults.keys())
+    unknown = sorted(overrides.keys() - (defaults.keys() - {"seed"}))
     if unknown:
         raise CliError(f"unknown config keys {unknown} in {args.config}")
     try:
@@ -78,7 +81,7 @@ def _config(args, defaults, build):
 def cmd_gen_world(args):
     # generating the world validates the layout
     world = _config(args, W.benchmark_spec(seed=args.seed).to_dict(),
-                    lambda d: W.generate_world(W.WorldSpec.from_dict({**d, "seed": args.seed})))
+                    lambda d: W.generate_world(W.WorldSpec.from_dict(d)))
     sd = world.spec.to_dict()
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "world.json")
@@ -175,10 +178,7 @@ def build_real_samples(real_trajs, m_stride):
 
 
 def cmd_train(args):
-    if args.method not in ("ours", "no_gclstm", "no_skip"):
-        raise CliError(f"cannot train method {args.method!r}")
-    tc = _config(args, TR.TrainConfig().to_dict(), TR.TrainConfig.from_dict)
-    tc.seed = args.seed
+    tc = _config(args, TR.TrainConfig(seed=args.seed).to_dict(), TR.TrainConfig.from_dict)
     topo = load_map(args.map)
     mc = topo.config or MapConfig()
     _, sim_trajs = load_trajectories(args.sim_data)

@@ -11,10 +11,11 @@ each node's concatenated features to a likelihood, softmaxed over nodes.
 Variants: "no_gclstm" replaces the recurrent layer with a stateless
 per-node FC stack, "no_skip" drops the skip path.
 
-The param dataclasses alone declare the parameters (the encoder and the
-pair net are two ``MLPParams``; batch norm is a ``(gamma, beta)`` tuple).
-Every parameter list is derived by walking them in field order, and the
-parameter names are the checkpoint format.
+The param dataclasses alone declare the parameters.  Every layer stack (the
+encoder, the pair net, the ``no_gclstm`` frame stack, the skip path and the
+head) is one ``MLPParams`` run by ``_mlp``; batch norm is a ``(gamma, beta)``
+tuple.  Every parameter list is derived by walking them in field order, and
+the parameter names are the checkpoint format.
 
 One forward, ``step_logits``, serves inference and training.  It runs on a
 ``MapContext`` holding one map or the disjoint union of several: node rows
@@ -78,11 +79,12 @@ def _norm_init(dim, name):
 @dataclass
 class MLPParams:
     layers: list  # [(W, b), ...], ReLU between layers
+    norms: tuple = ()  # batch-norm (gamma, beta) after each of the first layers
 
     @staticmethod
-    def init(dims, rng, name):
+    def init(dims, rng, name, norms=()):
         return MLPParams([_linear_init(rng, dims[i], dims[i + 1], f"{name}.{i}")
-                          for i in range(len(dims) - 1)])
+                          for i in range(len(dims) - 1)], tuple(norms))
 
 
 @dataclass
@@ -130,57 +132,16 @@ class GCLSTMState:
     c: Tensor
 
 
-@dataclass
-class FrameNetParams:
-    """Per-node FC stack standing in for the recurrent layer (w/o GCLSTM)."""
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-    bn1: tuple  # (gamma, beta)
-    bn2: tuple
-
-    @staticmethod
-    def init(cfg, rng):
-        w1, b1 = _linear_init(rng, cfg.d_x, cfg.d_h, "frame.0")
-        w2, b2 = _linear_init(rng, cfg.d_h, cfg.d_h, "frame.1")
-        return FrameNetParams(w1, b1, w2, b2, _norm_init(cfg.d_h, "frame.bn0"),
-                              _norm_init(cfg.d_h, "frame.bn1"))
-
-
-@dataclass
-class SkipParams:
-    w: Tensor
-    b: Tensor
-
-    @staticmethod
-    def init(cfg, rng):
-        w, b = _linear_init(rng, cfg.d_x, cfg.d_skip, "skip")
-        return SkipParams(w, b)
-
-
-@dataclass
-class HeadParams:
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-    bn: tuple  # (gamma, beta), between the two layers
-
-    @staticmethod
-    def init(cfg, rng, d_in):
-        w1, b1 = _linear_init(rng, d_in, cfg.head_hidden, "head.0")
-        w2, b2 = _linear_init(rng, cfg.head_hidden, 1, "head.1")
-        return HeadParams(w1, b1, w2, b2, _norm_init(cfg.head_hidden, "head.bn"))
-
-
 # -- forward operations ------------------------------------------------------
 
 
-def _mlp(params: MLPParams, x: Tensor) -> Tensor:
+def _mlp(params: MLPParams, x: Tensor, segments: Segments | None = None) -> Tensor:
+    """Each layer: `linear`, its batch norm if it has one, then ReLU unless it is last."""
     out = x
     for i, (w, b) in enumerate(params.layers):
         out = linear(out, w, b)
+        if i < len(params.norms):
+            out = batch_norm(out, *params.norms[i], segments=segments)
         if i < len(params.layers) - 1:
             out = out.relu()
     return out
@@ -229,21 +190,15 @@ def gclstm_step(params: GCLSTMParams, x: Tensor, edges, state: GCLSTMState):
     return h, GCLSTMState(h, c)
 
 
-def frame_forward(params: FrameNetParams, x: Tensor, segments: Segments) -> Tensor:
-    a = batch_norm(linear(x, params.w1, params.b1), *params.bn1, segments=segments).relu()
-    return batch_norm(linear(a, params.w2, params.b2), *params.bn2, segments=segments).relu()
+def skip_path(params: MLPParams, x: Tensor) -> Tensor:
+    return _mlp(params, x)
 
 
-def skip_path(params: SkipParams, x: Tensor) -> Tensor:
-    return linear(x, params.w, params.b)
-
-
-def identify_logits(params: HeadParams, h: Tensor, skip: Tensor | None,
+def identify_logits(params: MLPParams, h: Tensor, skip: Tensor | None,
                     segments: Segments | None = None) -> Tensor:
     """Per-node logits; batch norm uses the statistics of each map's rows."""
     z = concat([h, skip], axis=1) if skip is not None else h
-    a = batch_norm(linear(z, params.w1, params.b1), *params.bn, segments=segments).relu()
-    return linear(a, params.w2, params.b2).reshape((h.shape[0],))
+    return _mlp(params, z, segments).reshape((h.shape[0],))
 
 
 def reset_state(n: int, d_h: int) -> GCLSTMState:
@@ -292,9 +247,14 @@ class Localizer:
         self.pair = MLPParams.init([2 * cfg.d_emb, cfg.d_x, cfg.d_x], rng, "pair")
         recurrent = cfg.variant != "no_gclstm"
         self.gclstm = GCLSTMParams.init(cfg, rng) if recurrent else None
-        self.frame = None if recurrent else FrameNetParams.init(cfg, rng)
-        self.skip = None if cfg.variant == "no_skip" else SkipParams.init(cfg, rng)
-        self.head = HeadParams.init(cfg, rng, cfg.d_h + (0 if self.skip is None else cfg.d_skip))
+        self.frame = None if recurrent else MLPParams.init(
+            [cfg.d_x, cfg.d_h, cfg.d_h], rng, "frame",
+            [_norm_init(cfg.d_h, "frame.bn0"), _norm_init(cfg.d_h, "frame.bn1")])
+        self.skip = (None if cfg.variant == "no_skip"
+                     else MLPParams([_linear_init(rng, cfg.d_x, cfg.d_skip, "skip")]))
+        d_head = cfg.d_h + (0 if self.skip is None else cfg.d_skip)
+        self.head = MLPParams.init([d_head, cfg.head_hidden, 1], rng, "head",
+                                   [_norm_init(cfg.head_hidden, "head.bn")])
 
     def train(self):
         self.training = True
@@ -393,7 +353,7 @@ def step_logits(model: Localizer, state: GCLSTMState, observations, ctx: MapCont
         cur_emb = encode(model.encoder, Tensor.const(observations))
         x = pair_features(model.pair, cur_emb, ctx.node_embs, ctx.member)
         if model.cfg.variant == "no_gclstm":
-            h = frame_forward(model.frame, x, ctx.segments)
+            h = _mlp(model.frame, x, ctx.segments).relu()
             new_state = state
         else:
             h, new_state = gclstm_step(model.gclstm, x, ctx.adj, state)

@@ -62,19 +62,20 @@ def plan_dijkstra(topo: TopoMap, start: int, goal: int):
     return path[::-1]
 
 
-def next_subgoal(plan, current: int, topo: TopoMap) -> int:
-    """Plan entry after the hop-nearest one to the current node."""
+def _plan_or_goal(topo: TopoMap, start: int, goal: int):
+    """`plan_dijkstra`'s path, or the goal alone when it is unreachable from start."""
+    try:
+        return plan_dijkstra(topo, start, goal)
+    except ValueError:
+        return [goal]
+
+
+def next_subgoal(plan) -> int:
+    """The entry after the plan's first, which is where the robot stands; a
+    one-entry plan (the goal, or a goal-only fallback) is its own subgoal."""
     if not plan:
         raise ValueError("empty plan")
-    if current in plan:
-        k = plan.index(current)
-        return plan[min(k + 1, len(plan) - 1)]
-    dists = []
-    for node in plan:
-        d = topo.edge_distance(current, node)
-        dists.append(math.inf if d < 0 else d)
-    k = int(np.argmin(dists))
-    return plan[min(k + 1, len(plan) - 1)]
+    return plan[min(1, len(plan) - 1)]
 
 
 def control_step(world: World, pose: Pose2D, subgoal: Pose2D, gains: ControlGains):
@@ -120,10 +121,7 @@ def run_trial(world: World, topo: TopoMap, localizer, obs_model, start: Pose2D,
     visited = [pose]
     log = []
     start_node = nearest_node(topo, start, cfg.omega_m)
-    try:
-        nominal = plan_dijkstra(topo, start_node, cfg.goal_node)
-    except ValueError:
-        nominal = [cfg.goal_node]
+    nominal = _plan_or_goal(topo, start_node, cfg.goal_node)
     gains = ControlGains()
     status = TIMEOUT
     for step in range(cfg.time_limit_steps):
@@ -132,11 +130,7 @@ def run_trial(world: World, topo: TopoMap, localizer, obs_model, start: Pose2D,
             break
         obs = render_observation(world, pose, obs_model, "sim", rng)
         node = localizer.step(obs, pose)
-        try:
-            plan = plan_dijkstra(topo, node, cfg.goal_node)
-        except ValueError:
-            plan = [cfg.goal_node]
-        subgoal = next_subgoal(plan, node, topo)
+        subgoal = next_subgoal(_plan_or_goal(topo, node, cfg.goal_node))
         log.append((step, node, subgoal))
         pose, collided = control_step(world, pose, topo.poses[subgoal], gains)
         visited.append(pose)

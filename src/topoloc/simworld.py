@@ -150,10 +150,10 @@ class ObservationModel:
     shift_extra_sigma: float = 0.0
 
     @staticmethod
-    def create(d_obs, noise_sigma=0.0, shift_seed=0, shift_strength=1.0, extra_sigma=0.0):
+    def create(d_obs, noise_sigma=0.0, shift_seed=0, extra_sigma=0.0):
         rng = np.random.default_rng(shift_seed)
-        scale = 1.0 + shift_strength * rng.uniform(-0.35, 0.35, size=d_obs)
-        bias = shift_strength * rng.uniform(-0.4, 0.4, size=d_obs)
+        scale = 1.0 + rng.uniform(-0.35, 0.35, size=d_obs)
+        bias = rng.uniform(-0.4, 0.4, size=d_obs)
         return ObservationModel(d_obs, noise_sigma, scale, bias, extra_sigma)
 
 

@@ -590,11 +590,11 @@ def batch_norm(x, gamma, beta, eps=1e-5, segments=None):
 class Adam:
     """Adam with per-group learning rates (encoder vs everything else)."""
 
-    def __init__(self, groups, betas=(0.9, 0.999), eps=1e-8):
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, groups):
         # groups: list of (params, lr) with params a list of Tensors
         self.groups = [(list(ps), lr) for ps, lr in groups]
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self.m = {}
         self.v = {}

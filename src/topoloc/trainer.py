@@ -90,12 +90,8 @@ def make_sim_sample(trajectory, topo: TopoMap, cfg: MapConfig) -> Sample:
 
 def stride_target(t: int, m_stride: int, n_nodes: int) -> int:
     """Node whose stride index is nearest to step t; ties go to the lower node."""
-    best, best_d = 0, abs(t)
-    for k in range(1, n_nodes):
-        d = abs(t - k * m_stride)
-        if d < best_d:
-            best, best_d = k, d
-    return best
+    # round t / m_stride half down: the least k with t - k * m_stride <= m_stride / 2
+    return min((2 * t + m_stride - 1) // (2 * m_stride), n_nodes - 1)
 
 
 def make_real_like_sample(sequence, m_stride: int) -> Sample:

@@ -172,6 +172,8 @@ def _config_command(command, pipeline):
     ("gen-world", {"segments": []}, "segment"),
     ("build-map", {"no_such_key": 1}, "no_such_key"),
     ("build-map", {"m_stride": 0}, "m_stride"),
+    ("gen-world", {"seed": 99}, "seed"),
+    ("train", {"seed": 99}, "seed"),
 ])
 def test_train_config_error_exits_2(pipeline, tmp_path, capsys, command, config, message):
     path = tmp_path / "cfg.json"

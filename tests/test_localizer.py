@@ -244,8 +244,9 @@ def test_skip_path_locality():
 
 def test_skip_path_identity_weights():
     model = L.Localizer(small_cfg(), seed=19)
-    model.skip.w.data = np.eye(4)
-    model.skip.b.data = np.zeros(4)
+    (w, b), = model.skip.layers
+    w.data = np.eye(4)
+    b.data = np.zeros(4)
     x = np.random.default_rng(20).normal(size=(6, 4))
     out = L.skip_path(model.skip, Tensor.const(x)).data
     np.testing.assert_allclose(out, x, atol=1e-15)

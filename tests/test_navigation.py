@@ -146,19 +146,13 @@ def test_plan_matches_early_exit_reference_with_ties():
 
 
 def test_next_subgoal_on_plan():
+    # plans start at the localized node, so the subgoal is the second entry
     topo = make_graph(5, [(i, i + 1) for i in range(4)])
-    plan = [0, 1, 2, 3]
-    assert N.next_subgoal(plan, 1, topo) == 2
-    assert N.next_subgoal(plan, 3, topo) == 3  # at the goal, stay there
-
-
-def test_next_subgoal_off_plan_uses_hop_nearest():
-    # node 4 hangs off node 2; nearest plan entry to 4 is 2, so the
-    # subgoal is the plan node after 2
-    topo = make_graph(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
-    assert N.next_subgoal([0, 1, 2, 3], 4, topo) == 3
+    assert N.next_subgoal(N.plan_dijkstra(topo, 1, 3)) == 2
+    assert N.next_subgoal(N.plan_dijkstra(topo, 3, 3)) == 3  # at the goal, stay there
+    assert N.next_subgoal([3]) == 3  # goal-only fallback
     with pytest.raises(ValueError):
-        N.next_subgoal([], 0, topo)
+        N.next_subgoal([])
 
 
 # -- controller --------------------------------------------------------------

@@ -69,6 +69,17 @@ def test_stride_targets_examples():
     assert TR.stride_target(10, 7, 3) == 1  # |10-7| < |10-14|
 
 
+def test_stride_target_matches_nearest_node_search():
+    def nearest(t, m, n):  # the rule, by search over the nodes
+        return min(range(n), key=lambda k: (abs(t - k * m), k))
+
+    assert TR.stride_target(2, 4, 3) == 0  # tie between nodes 0 and 1
+    for m in range(1, 12):
+        for n in range(1, 15):
+            for t in range(200):
+                assert TR.stride_target(t, m, n) == nearest(t, m, n), (t, m, n)
+
+
 def test_real_like_sample_construction():
     rng = np.random.default_rng(3)
     seq = rng.normal(size=(15, 4))
