@@ -155,6 +155,16 @@ def test_next_subgoal_on_plan():
         N.next_subgoal([])
 
 
+def test_next_subgoal_off_plan_uses_hop_nearest():
+    # node 4 hangs off node 2 of the route 0-1-2-3; localized at 4, the robot
+    # replans from 4, and its subgoal is 2, the route node hop-nearest to 4
+    topo = make_graph(5, [(0, 1), (1, 2), (2, 3), (4, 2)])
+    route = N.plan_dijkstra(topo, 0, 3)
+    assert 4 not in route
+    assert min(route, key=lambda n: topo.edge_distance(4, n)) == 2
+    assert N.next_subgoal(N._plan_or_goal(topo, 4, 3)) == 2
+
+
 # -- controller --------------------------------------------------------------
 
 
