@@ -17,11 +17,13 @@ head) is one ``MLPParams`` run by ``_mlp``; batch norm is a ``(gamma, beta)``
 tuple.  Every parameter list is derived by walking them in field order, and
 the parameter names are the checkpoint format.
 
-One forward, ``step_logits``, serves inference and training.  It runs on a
-``MapContext`` holding one map or the disjoint union of several: node rows
-concatenated, a block-diagonal adjacency, and one observation per map.
-``localize_step`` is its one-map case; training unrolls the windows of a
-mini-batch together over the union of their submaps.
+One forward, ``step_logits``, serves inference and training.  It runs over
+any number of steps on a ``MapContext`` holding one map or the disjoint
+union of several (node rows concatenated, a block-diagonal adjacency), with
+one observation per map and step; each map's nodes gather their own
+observation's row.  Everything but the recurrence runs once over the rows of
+all steps.  ``localize_step`` is its one-map, one-step case; training runs
+the equal-length windows of a mini-batch as one call over their submaps.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor, Segments, batch_norm, concat, gclstm_cell, gin, linear
+from .tensor import (Tensor, Segments, batch_norm, concat, gclstm_cell, gin, linear,
+                     take_rows)
 from .topo_graph import TopoMap
 
 VARIANTS = ("full", "no_gclstm", "no_skip")
@@ -152,17 +155,18 @@ def encode(params: MLPParams, x: Tensor) -> Tensor:
 
 
 def pair_features(params: MLPParams, current_emb: Tensor, node_embs: Tensor,
-                  member: Tensor | None = None) -> Tensor:
+                  query=None) -> Tensor:
     """Per-node features from (query, node) embedding pairs.
 
-    `current_emb` holds one query row per map and `member` is the constant
-    (nodes, maps) matrix that hands each map's query row to its own nodes;
-    without it all nodes belong to one map.
+    Output row r pairs node row ``r % len(node_embs)`` with query row
+    ``query[r]`` of `current_emb`, so the output holds one block of node rows
+    per step; without `query` the nodes are paired once, with query row 0.
     """
-    if member is None:
-        member = Tensor.const(np.ones((node_embs.shape[0], 1)))
-    tiled = member @ current_emb
-    return _mlp(params, concat([tiled, node_embs], axis=1))
+    n = node_embs.shape[0]
+    query = np.zeros(n, dtype=np.intp) if query is None else query
+    if len(query) != n:
+        node_embs = concat([node_embs] * (len(query) // n))
+    return _mlp(params, concat([take_rows(current_emb, query), node_embs], axis=1))
 
 
 def _as_adjacency(x_rows, edges):
@@ -183,11 +187,16 @@ def gin_aggregate(params: GINParams, x: Tensor, edges) -> Tensor:
 
 
 def gclstm_step(params: GCLSTMParams, x: Tensor, edges, state: GCLSTMState):
-    adj = _as_adjacency(x.shape[0], edges)
+    """The GCLSTM over the steps stacked in `x`: (h of every step, state after the last)."""
+    n = state.h.shape[0]
+    if x.shape[0] < n or x.shape[0] % n:
+        raise ValueError(f"{x.shape[0]} input rows are not whole steps of the {n}-row state")
+    adj = _as_adjacency(n, edges)
     gins = [(g.eps, g.w1, g.b1, g.w2, g.b2) for g in params.gins]
-    h, c = gclstm_cell(x, state.h, state.c, adj, gins, params.w_ci, params.w_cf,
-                       params.w_co, params.b_i, params.b_f, params.b_c, params.b_o)
-    return h, GCLSTMState(h, c)
+    h, _, h_last, c_last = gclstm_cell(x, state.h, state.c, adj, gins, params.w_ci,
+                                       params.w_cf, params.w_co, params.b_i, params.b_f,
+                                       params.b_c, params.b_o)
+    return h, GCLSTMState(h_last, c_last)
 
 
 def skip_path(params: MLPParams, x: Tensor) -> Tensor:
@@ -228,12 +237,11 @@ class MapContext:
     """One map, or the disjoint union of several, ready for `step_logits`.
 
     The maps' node rows are concatenated and `adj` is block-diagonal.
-    `member` is the constant (nodes, maps) matrix with a 1 where a row belongs
-    to a map, and `segments` holds each map's block of rows.
+    `segments` holds each map's block of rows; its ``ids`` give each row's
+    map, which is the row of that map's observation in a step.
     """
     node_embs: Tensor
     adj: Tensor
-    member: Tensor
     segments: Segments
 
 
@@ -321,14 +329,12 @@ def make_context(model: Localizer, *topos: TopoMap) -> MapContext:
     segments = Segments(t.n for t in topos)
     rows = sum(segments.sizes)
     adj = np.zeros((rows, rows))
-    member = np.zeros((rows, len(topos)))
-    for b, (t, lo) in enumerate(zip(topos, segments.starts)):
+    for t, lo in zip(topos, segments.starts):
         adj[lo:lo + t.n, lo:lo + t.n] = t.undirected_adjacency_matrix()
-        member[lo:lo + t.n, b] = 1.0
     descriptors = np.concatenate([t.descriptors for t in topos])
     with _inference(model):
         node_embs = encode(model.encoder, Tensor.const(descriptors))
-    return MapContext(node_embs, Tensor.const(adj), Tensor.const(member), segments)
+    return MapContext(node_embs, Tensor.const(adj), segments)
 
 
 def check_observations(model: Localizer, observations, topo: TopoMap):
@@ -343,22 +349,32 @@ def check_observations(model: Localizer, observations, topo: TopoMap):
 
 
 def step_logits(model: Localizer, state: GCLSTMState, observations, ctx: MapContext):
-    """The model's forward for one step of every map in `ctx`: (logits, next state).
+    """The model's forward over steps of every map in `ctx`: (logits, state after the last).
 
-    `observations` holds one row per map of the context; the logits hold one
-    entry per node row and the state spans all rows.  In evaluation mode the
-    step records no graph.
+    `observations` has shape (steps, maps, d_obs), maps in context order.
+    Every part but the recurrence runs once over the node rows of all steps;
+    the logits hold one block of node rows per step, and batch norm uses the
+    statistics of one map at one step.  Evaluation mode records no graph.
     """
+    if (observations.ndim != 3 or observations.shape[0] < 1
+            or observations.shape[1] != len(ctx.segments)):
+        raise ValueError(f"observations of shape {observations.shape} are not "
+                         f"(steps, {len(ctx.segments)}, d_obs)")
+    steps, maps = observations.shape[:2]
+    segments, query = ctx.segments, ctx.segments.ids
+    if steps > 1:
+        segments = Segments(segments.sizes * steps)
+        query = (np.arange(steps)[:, None] * maps + query).reshape(-1)
     with _inference(model):
-        cur_emb = encode(model.encoder, Tensor.const(observations))
-        x = pair_features(model.pair, cur_emb, ctx.node_embs, ctx.member)
+        cur_emb = encode(model.encoder, Tensor.const(observations.reshape(steps * maps, -1)))
+        x = pair_features(model.pair, cur_emb, ctx.node_embs, query)
         if model.cfg.variant == "no_gclstm":
-            h = _mlp(model.frame, x, ctx.segments).relu()
+            h = _mlp(model.frame, x, segments).relu()
             new_state = state
         else:
             h, new_state = gclstm_step(model.gclstm, x, ctx.adj, state)
         skip = skip_path(model.skip, x) if model.skip is not None else None
-        logits = identify_logits(model.head, h, skip, ctx.segments)
+        logits = identify_logits(model.head, h, skip, segments)
     return logits, new_state
 
 
@@ -377,7 +393,7 @@ def localize_step(model: Localizer, state: GCLSTMState, observation, topo: TopoM
     check_observations(model, obs, topo)
     if ctx is None:
         ctx = make_context(model, topo)
-    logits, new_state = step_logits(model, state, obs.reshape(1, -1), ctx)
+    logits, new_state = step_logits(model, state, obs.reshape(1, 1, -1), ctx)
     e = np.exp(logits.data - logits.data.max())
     probs = Tensor(e / e.sum())
     pred = int(np.argmax(probs.data))

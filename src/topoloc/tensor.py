@@ -16,10 +16,11 @@ runs; a second backward() through the same graph raises RuntimeError.
 
 Besides elementwise, reduction and reshaping primitives, fused ops carry
 the localizer's layers and loss with one graph node each, with hand-written
-backward: ``linear``, ``gin``, ``batch_norm``, ``cross_entropy`` and
-``gclstm_cell``, whose one node yields both the output h and the cell state
-c as column blocks.  Each computes its forward in the same operation order as
-the unfused expression of primitives, so their values are bit-identical.
+backward: ``linear``, ``gin``, ``take_rows``, ``batch_norm``,
+``cross_entropy`` and ``gclstm_cell``, whose one node spans every step of a
+sequence, with h and c of all steps as column blocks.  Each computes its
+forward in the same operation order as the unfused expression of primitives
+(the cell: as its steps run one at a time), so their values are bit-identical.
 No model path records ``sigmoid``, ``tanh``, ``exp``, ``sqrt``, ``mean``,
 ``-`` or ``/``; they stay because the tests build the fused ops' references
 from them.
@@ -63,8 +64,11 @@ def _recording(*inputs):
     return False
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+def _sigmoid(z, out):
+    """``1 / (1 + exp(-z))`` into the array `out`, which may be `z`."""
+    np.exp(np.negative(z, out=out), out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 _FREED = "backward() through a graph that an earlier backward() has freed"
@@ -257,7 +261,7 @@ class Tensor:
         return out
 
     def sigmoid(self):
-        out = Tensor(_sigmoid(self.data))
+        out = Tensor(_sigmoid(self.data, np.empty_like(self.data)))
         if _recording(self):
             s = out.data
             out._record((self,), lambda g: self._accum(g * s * (1.0 - s)))
@@ -342,29 +346,34 @@ def linear(x, w, b):
     return out
 
 
-def _gin_forward(u, au, eps, w1, b1, w2, b2):
-    """GIN layer on arrays, given ``au = adj @ u``: (scale, agg, hidden, out)."""
+def _gin_forward(u, au, eps, w1, b1, w2, b2, agg=None, hidden=None):
+    """GIN layer on arrays, given ``au = adj @ u``: (scale, agg, hidden, out).
+
+    Sums and ReLU run in place, `agg` and `hidden` in the given arrays if any.
+    """
     scale = eps.data + 1.0
-    agg = u * scale + au
-    hidden = np.maximum(agg @ w1.data + b1.data, 0.0)
-    return scale, agg, hidden, hidden @ w2.data + b2.data
+    agg = np.multiply(u, scale, out=agg)
+    agg += au
+    hidden = np.matmul(agg, w1.data, out=hidden)
+    hidden += b1.data
+    np.maximum(hidden, 0.0, out=hidden)
+    out = hidden @ w2.data
+    out += b2.data
+    return scale, agg, hidden, out
 
 
-def _gin_backward(g, u, agg, hidden, eps, w1, b1, w2, b2):
-    """Accumulate a GIN layer's parameter adjoints; return the adjoint of `agg`."""
-    if w2.requires_grad:
-        w2._accum(hidden.T @ g)
-    if b2.requires_grad:
-        b2._accum(g.sum(axis=0))
-    g = (g @ w2.data.T) * (hidden > 0.0)
-    if w1.requires_grad:
-        w1._accum(agg.T @ g)
-    if b1.requires_grad:
-        b1._accum(g.sum(axis=0))
-    g = g @ w1.data.T
-    if eps.requires_grad:
-        eps._accum((g * u).sum(axis=0).sum())
-    return g
+def _gin_backprop(g, hidden, eps, w1, b1, w2, b2, g_hidden=None, g_agg=None):
+    """Adjoints of a GIN layer's hidden pre-activation and `agg` from its output's."""
+    g_hidden = np.multiply(g @ w2.data.T, hidden > 0.0, out=g_hidden)
+    return g_hidden, np.matmul(g_hidden, w1.data.T, out=g_agg)
+
+
+def _gin_param_adjoints(g, g_hidden, g_agg, u, agg, hidden, eps, w1, b1, w2, b2):
+    """Accumulate a GIN layer's parameter adjoints over all rows of its input `u`."""
+    for t, gt in ((w2, hidden.T @ g), (b2, g.sum(axis=0)), (w1, agg.T @ g_hidden),
+                  (b1, g_hidden.sum(axis=0)), (eps, (g_agg * u).sum(axis=0).sum())):
+        if t.requires_grad:
+            t._accum(gt)
 
 
 def gin(x, adj, eps, w1, b1, w2, b2):
@@ -374,112 +383,183 @@ def gin(x, adj, eps, w1, b1, w2, b2):
     out = Tensor(out)
     if _recording(x, adj, *params):
         def bwd(g):
-            g = _gin_backward(g, x.data, agg, hidden, *params)
+            g_hidden, g_agg = _gin_backprop(g, hidden, *params)
+            _gin_param_adjoints(g, g_hidden, g_agg, x.data, agg, hidden, *params)
             if x.requires_grad:
-                x._accum(g * scale + adj.data.T @ g)
+                x._accum(g_agg * scale + adj.data.T @ g_agg)
             if adj.requires_grad:
-                adj._accum(g @ x.data.T)
+                adj._accum(g_agg @ x.data.T)
         out._record((x, adj) + params, bwd)
     return out
 
 
-def _column_blocks(inputs, backward, blocks):
-    """Tensors holding `blocks`, recorded as column blocks of one node over `inputs`.
+def take_rows(x, index):
+    """Rows ``x[index]`` (row numbers >= 0) as one graph node; a repeated row sums its adjoints."""
+    out = Tensor(x.data[index])
+    if _recording(x):
+        def bwd(g):
+            grad = np.zeros_like(x.data)
+            np.add.at(grad, index, g)
+            x._accum(grad)
+        out._record((x,), bwd)
+    return out
 
-    `backward` receives the blocks' adjoints side by side in one array, with
-    zeros for a block that received none.
+
+def _blocks(inputs, backward, data, index):
+    """Views ``data[i]`` for each index i, recorded as blocks of one node over `inputs`.
+
+    `backward` receives the node's adjoint, zero where no block received one.
     """
-    node = Tensor(np.concatenate(blocks, axis=1))
+    node = Tensor(data)
     node._record(inputs, backward)
 
-    def accum_columns(cols):
+    def accum(i):
         def bwd(g):
             if node.grad is None:
                 node.grad = np.zeros_like(node.data)
                 node._grad_owned = True
-            node.grad[:, cols] += g
+            node.grad[i] += g
         return bwd
 
-    outs, start = [], 0
-    for data in blocks:
-        out = Tensor(data)
-        out._record((node,), accum_columns(slice(start, start + data.shape[1])))
-        start += data.shape[1]
-        outs.append(out)
+    outs = [Tensor(data[i]) for i in index]
+    for out, i in zip(outs, index):
+        out._record((node,), accum(i))
     return outs
 
 
-def gclstm_cell(x, h_prev, c_prev, adj, gins, w_ci, w_cf, w_co, b_i, b_f, b_c, b_o):
-    """One graph-convolutional LSTM step as one graph node; returns (h, c).
+def gclstm_cell(x, h0, c0, adj, gins, w_ci, w_cf, w_co, b_i, b_f, b_c, b_o):
+    """Graph-convolutional LSTM steps as one graph node: (h, c, h_last, c_last).
 
-    `gins` holds eight GIN parameter tuples ``(eps, w1, b1, w2, b2)``; the
-    layers G0..G7 read x at even and h_prev at odd positions:
+    `x` stacks one block of ``n = adj.shape[0]`` node rows per step, and the
+    cell runs over the steps in order from state (h0, c0).  `gins` holds
+    eight GIN parameter tuples ``(eps, w1, b1, w2, b2)``; the layers G0..G7
+    read x_t at even and h_{t-1} at odd positions:
 
-        i = sigmoid(G0(x) + G1(h_prev) + w_ci * c_prev + b_i)
-        f = sigmoid(G2(x) + G3(h_prev) + w_cf * c_prev + b_f)
-        c = f * c_prev + i * tanh(G4(x) + G5(h_prev) + b_c)
-        o = sigmoid(G6(x) + G7(h_prev) + w_co * c + b_o)
-        h = o * tanh(c)
+        i = sigmoid(G0(x_t) + G1(h_{t-1}) + w_ci * c_{t-1} + b_i)
+        f = sigmoid(G2(x_t) + G3(h_{t-1}) + w_cf * c_{t-1} + b_f)
+        c_t = f * c_{t-1} + i * tanh(G4(x_t) + G5(h_{t-1}) + b_c)
+        o = sigmoid(G6(x_t) + G7(h_{t-1}) + w_co * c_t + b_o)
+        h_t = o * tanh(c_t)
 
-    ``adj @ x`` and ``adj @ h_prev`` are computed once and shared by the four
-    layers reading them.  h and c are column blocks of the one node.
+    The x-side layers run once over all steps, multiplying each step's block
+    on its own, so every value is that of the steps run one at a time; only
+    the h-side layers and the gates loop over steps.  h and c of all steps
+    are the node's column blocks and the last step's h and c its row blocks
+    (h and c themselves for one step).  The backward is one reverse-time
+    loop, then the parameter adjoints are taken once over all rows.
     """
-    inputs = ((x, h_prev, c_prev, adj) + tuple(t for p in gins for t in p)
+    inputs = ((x, h0, c0, adj) + tuple(t for p in gins for t in p)
               + (w_ci, w_cf, w_co, b_i, b_f, b_c, b_o))
     recording = _recording(*inputs)
-    xd, hd, cd, ad = x.data, h_prev.data, c_prev.data, adj.data
-    sides = ((xd, ad @ xd), (hd, ad @ hd))
-    layers = []
+    xd, hd, cd, ad = x.data, h0.data, c0.data, adj.data
+    n, d = hd.shape
+    steps = xd.shape[0] // n
+    x_steps = xd if steps == 1 else xd.reshape(steps, n, -1)
+    ax = ad @ x_steps
+    x_layers, gates = [], []
 
-    def layer_output(k):
-        # without a graph to record, a layer's intermediates are dropped as
-        # soon as its output exists, and each output as soon as it is added
-        # into its gate, which keeps evaluation's peak memory low
-        layer = _gin_forward(*sides[k % 2], *gins[k])
+    def output(k, u, au, *into):
+        # without a graph to record, intermediates are dropped once the layer's output
+        # exists and outputs once added into their gate, for a low evaluation peak
+        layer = _gin_forward(u, au, *gins[k], *into)
+        if recording and k % 2 == 0:
+            x_layers.append(layer[:3])  # the output is not needed for the backward
+        return layer[3]
+
+    # the x-side layers of several steps run once over all of them
+    zx = [output(k, x_steps, ax) for k in range(0, 8, 2)] if steps > 1 else None
+    out = np.empty(((steps + 1) * n, 2 * d)) if recording or steps > 1 else None
+    if out is not None:  # node rows: the initial state, then one block per step; h | c columns
+        out[:n, :d], out[:n, d:] = hd, cd
+    if recording:  # each step's agg and hidden rows of the h-side layers
+        h_saved = [(np.empty((steps * n, d)), np.empty((steps * n, gins[k][1].data.shape[1])))
+                   for k in range(1, 8, 2)]
+    for t in range(steps):
+        rows = slice(t * n, (t + 1) * n)
+        ah = ad @ hd
+        into = [(agg[rows], hidden[rows]) for agg, hidden in h_saved] if recording else [()] * 4
+
+        def gate(j, activation, *terms):  # summed in place, in the order of the equations
+            z = output(2 * j, xd, ax) if zx is None else zx[j][t]
+            for term in (output(2 * j + 1, hd, ah, *into[j]),) + terms:
+                z += term
+            return activation(z, out=z)
+
+        i = gate(0, _sigmoid, w_ci.data * cd, b_i.data)
+        f = gate(1, _sigmoid, w_cf.data * cd, b_f.data)
+        cand = gate(2, np.tanh, b_c.data)
+        c = f * cd
+        c += i * cand
+        o = gate(3, _sigmoid, w_co.data * c, b_o.data)
+        tc = np.tanh(c)
+        h = o * tc
         if recording:
-            layers.append(layer)
-        return layer[-1]
+            gates.append((i, f, cand, o, tc))
+        if out is not None:
+            out[(t + 1) * n:(t + 2) * n, :d] = h
+            out[(t + 1) * n:(t + 2) * n, d:] = c
+        hd, cd = h, c
+    if not recording:  # the blocks, without copying them
+        h, c = Tensor(h), Tensor(c)
+        return (h, c, h, c) if out is None else (Tensor(out[n:, :d]), Tensor(out[n:, d:]), h, c)
 
-    def gate_input(k):
-        return layer_output(2 * k) + layer_output(2 * k + 1)
-
-    i = _sigmoid(gate_input(0) + w_ci.data * cd + b_i.data)
-    f = _sigmoid(gate_input(1) + w_cf.data * cd + b_f.data)
-    cand = np.tanh(gate_input(2) + b_c.data)
-    c = f * cd + i * cand
-    o = _sigmoid(gate_input(3) + w_co.data * c + b_o.data)
-    tc = np.tanh(c)
-    h = o * tc
-    if not recording:
-        return Tensor(h), Tensor(c)
+    def per_step(a):  # one block of n rows per step
+        return a.reshape(steps, n, -1)
 
     def bwd(g):
-        gh, gc = g[:, :h.shape[1]], g[:, h.shape[1]:]
-        dzo = gh * tc * o * (1.0 - o)
-        dc = gc + gh * o * (1.0 - tc * tc) + dzo * w_co.data
-        dzi = dc * cand * i * (1.0 - i)
-        dzf = dc * cd * f * (1.0 - f)
-        dzc = dc * i * (1.0 - cand * cand)
-        for t, gt in ((w_ci, dzi * cd), (w_cf, dzf * cd), (w_co, dzo * c),
-                      (b_i, dzi), (b_f, dzf), (b_c, dzc), (b_o, dzo)):
+        g = g[n:]
+        h_prev, c_prev, c_all = out[:-n, :d], out[:-n, d:], out[n:, d:]
+        dz = np.empty((4, steps * n, d))  # adjoints of the i, f, candidate and o pre-activations
+        g_hidden = [np.empty_like(hidden) for _, hidden in h_saved]
+        g_agg = [np.empty((steps * n, d)) for _ in range(4)]
+        scales = [gins[k][0].data + 1.0 for k in range(1, 8, 2)]
+        dh = dc = None
+        for t in reversed(range(steps)):
+            rows = slice(t * n, (t + 1) * n)
+            i, f, cand, o, tc = gates.pop()  # released once used, for a lower peak
+            gh, gc = g[rows, :d], g[rows, d:]
+            if dh is not None:
+                gh, gc = gh + dh, gc + dc
+            dzo = np.multiply(gh * tc * o, 1.0 - o, out=dz[3, rows])
+            dct = gc + gh * o * (1.0 - tc * tc) + dzo * w_co.data
+            dzi = np.multiply(dct * cand * i, 1.0 - i, out=dz[0, rows])
+            dzf = np.multiply(dct * c_prev[rows] * f, 1.0 - f, out=dz[1, rows])
+            np.multiply(dct * i, 1.0 - cand * cand, out=dz[2, rows])
+            dc = dct * f + dzi * w_ci.data + dzf * w_cf.data
+            ga = [_gin_backprop(dz[j, rows], h_saved[j][1][rows], *gins[2 * j + 1],
+                                g_hidden[j][rows], g_agg[j][rows])[1] for j in range(4)]
+            dh = (ga[0] * scales[0] + ga[1] * scales[1] + ga[2] * scales[2]
+                  + ga[3] * scales[3] + ad.T @ (ga[0] + ga[1] + ga[2] + ga[3]))
+        sums = [(t, a.sum(axis=0)) for t, a in ((w_ci, dz[0] * c_prev), (w_cf, dz[1] * c_prev),
+                (w_co, dz[3] * c_all), (b_i, dz[0]), (b_f, dz[1]), (b_c, dz[2]), (b_o, dz[3]))]
+        for t, gt in [(h0, dh), (c0, dc)] + sums:
             if t.requires_grad:
-                t._accum(gt.sum(axis=0))
-        if c_prev.requires_grad:
-            c_prev._accum(dc * f + dzi * w_ci.data + dzf * w_cf.data)
-        gates = (dzi, dzi, dzf, dzf, dzc, dzc, dzo, dzo)
-        dagg = [_gin_backward(gates[k], sides[k % 2][0], layer[1], layer[2], *p)
-                for k, (layer, p) in enumerate(zip(layers, gins))]
-        for side, t in enumerate((x, h_prev)):
-            ks = range(side, 8, 2)
-            gsum = dagg[ks[0]] + dagg[ks[1]] + dagg[ks[2]] + dagg[ks[3]]
-            if t.requires_grad:
-                t._accum(dagg[ks[0]] * layers[ks[0]][0] + dagg[ks[1]] * layers[ks[1]][0]
-                         + dagg[ks[2]] * layers[ks[2]][0] + dagg[ks[3]] * layers[ks[3]][0]
-                         + ad.T @ gsum)
-            if adj.requires_grad:
-                adj._accum(gsum @ sides[side][0].T)
+                t._accum(gt)
+        x_agg = []
+        for j in range(4):  # each layer's saved rows are released once used
+            scale, agg, hidden = x_layers[j]
+            x_layers[j], agg, hidden = (scale,), agg.reshape(xd.shape), hidden.reshape(len(xd), -1)
+            gx_hidden, gx_agg = _gin_backprop(dz[j], hidden, *gins[2 * j])
+            _gin_param_adjoints(dz[j], gx_hidden, gx_agg, xd, agg, hidden, *gins[2 * j])
+            x_agg.append(gx_agg)
+            _gin_param_adjoints(dz[j], g_hidden[j], g_agg[j], h_prev, *h_saved[j],
+                                *gins[2 * j + 1])
+            h_saved[j] = g_hidden[j] = None
+        gsum = x_agg[0] + x_agg[1] + x_agg[2] + x_agg[3]
+        if x.requires_grad:
+            x._accum(x_agg[0] * x_layers[0][0] + x_agg[1] * x_layers[1][0]
+                     + x_agg[2] * x_layers[2][0] + x_agg[3] * x_layers[3][0]
+                     + (ad.T @ per_step(gsum)).reshape(gsum.shape))
+        if adj.requires_grad:
+            hsum = g_agg[0] + g_agg[1] + g_agg[2] + g_agg[3]
+            adj._accum((per_step(gsum) @ per_step(xd).transpose(0, 2, 1)
+                        + per_step(hsum) @ per_step(h_prev).transpose(0, 2, 1)).sum(axis=0))
 
-    return _column_blocks(inputs, bwd, (h, c))
+    # h and c of every step, then of the last step unless that is every step
+    rows = [slice(n, None)] + ([slice(steps * n, None)] if steps > 1 else [])
+    blocks = _blocks(inputs, bwd, out, [(r, c) for r in rows
+                                        for c in (slice(None, d), slice(d, None))])
+    return tuple(blocks) if steps > 1 else (*blocks, *blocks)
 
 
 # -- losses and normalization --------------------------------------------------
@@ -532,7 +612,9 @@ def cross_entropy(logits, target_index, segments=None):
     With `segments` the vector holds one block of logits per segment, the
     softmax runs within each block, `target_index` holds one index into the
     whole vector per segment, and the result is the sum of the segments'
-    terms.  Without, the whole vector is one segment.
+    terms.  Without, the whole vector is one segment.  A 2-D `target_index`
+    holds one row of segments per step: each row's terms are summed, then
+    the rows in order, as per-step losses added one after another would be.
     """
     ld = logits.data
     if ld.ndim != 1:
@@ -547,7 +629,9 @@ def cross_entropy(logits, target_index, segments=None):
     z = ld - seg.spread(seg.reduce(np.maximum, ld))
     e = np.exp(z)
     total = seg.reduce(np.add, e)
-    out = Tensor((-(z[targets] - np.log(total))).sum())
+    terms = -(z[targets] - np.log(total))
+    per_row = np.shape(target_index)[-1] if np.ndim(target_index) == 2 else terms.size
+    out = Tensor(np.cumsum(terms.reshape(-1, per_row).sum(axis=1))[-1])
     if _recording(logits):
         def bwd(g):
             grad = e * seg.spread(g / total)

@@ -4,13 +4,14 @@ A training sample is a window of observations, the map, and the ground
 truth node per step.  Each draw moves the window onto a freshly sampled
 bounded submap containing all its targets, with optional observation jitter
 (augmentation).  The loss of a mini-batch is the mean over its windows of
-each window's mean per-step cross-entropy.  Windows of equal length are
-unrolled together as one graph over the disjoint union of their submaps,
-with block-diagonal adjacency and per-submap batch norm and softmax, so one
-backward pass serves the whole group; windows of other lengths form groups
-of their own and are never padded.  Mini-batches mix simulator samples
-(targets from poses) and real-like samples (targets from the stride rule)
-at a configurable ratio; early stopping follows the validation loss.
+each window's mean per-step cross-entropy.  Windows of equal length run as
+one forward over all their steps on the disjoint union of their submaps,
+with block-diagonal adjacency, per-submap and per-step batch norm and
+softmax, and one cross-entropy node for the group, so one backward pass
+serves the whole group; windows of other lengths form groups of their own
+and are never padded.  Mini-batches mix simulator samples (targets from
+poses) and real-like samples (targets from the stride rule) at a
+configurable ratio; early stopping follows the validation loss.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import localizer as L
 from .map_sampler import sample_submap
-from .tensor import Adam, Tensor, cross_entropy, no_grad
+from .tensor import Adam, Segments, Tensor, cross_entropy, no_grad
 from .topo_graph import MapConfig, TopoMap, build_map_real, nearest_node
 
 SIM = "sim"
@@ -135,8 +136,9 @@ def augment(sample: Sample, cfg: TrainConfig, rng) -> Sample:
 def sequence_loss(model: L.Localizer, windows) -> Tensor:
     """Mean over `windows` of each window's mean cross-entropy on its own map.
 
-    Windows of equal length run as one unrolled graph over the disjoint
-    union of their maps; each length forms its own group.
+    Windows of equal length run as one forward over all their steps on the
+    disjoint union of their maps, with one cross-entropy over all their
+    steps; each length forms its own group.
     """
     if not windows:
         raise ValueError("sequence_loss needs at least one window")
@@ -147,15 +149,13 @@ def sequence_loss(model: L.Localizer, windows) -> Tensor:
     total = None
     for steps, group in groups.items():
         ctx = L.make_context(model, *(w.topo for w in group))
-        state = L.reset_state(ctx.node_embs.shape[0], model.cfg.d_h)
+        rows = ctx.node_embs.shape[0]
         obs = np.stack([w.observations for w in group], axis=1)  # (steps, maps, d_obs)
-        targets = np.array([w.targets for w in group]).T + ctx.segments.starts
-        group_total = None
-        for t in range(steps):
-            logits, state = L.step_logits(model, state, obs[t], ctx)
-            ce = cross_entropy(logits, targets[t], ctx.segments)
-            group_total = ce if group_total is None else group_total + ce
-        term = group_total * (1.0 / steps)
+        logits, _ = L.step_logits(model, L.reset_state(rows, model.cfg.d_h), obs, ctx)
+        # the logits hold one block of the union's rows per step; one target row per step
+        targets = (np.array([w.targets for w in group]).T + ctx.segments.starts
+                   + rows * np.arange(steps)[:, None])
+        term = cross_entropy(logits, targets, Segments(ctx.segments.sizes * steps)) * (1.0 / steps)
         total = term if total is None else total + term
     return total * (1.0 / len(windows))
 

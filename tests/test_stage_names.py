@@ -32,11 +32,14 @@ def count_calls(monkeypatch, module, names):
     return calls
 
 
-@pytest.mark.parametrize("variant, stages", [
+STAGES = [
     ("full", ("encode", "pair_features", "gclstm_step", "skip_path", "identify_logits")),
     ("no_gclstm", ("encode", "pair_features", "skip_path", "identify_logits")),
-])
-def test_training_step_calls_each_stage_by_name(monkeypatch, variant, stages):
+]
+
+
+def stage_calls(monkeypatch, variant, stages, steps):
+    """Call counts of `stages` in one training-mode `step_logits` over `steps` steps."""
     cfg = L.LocalizerConfig(d_obs=4, d_emb=4, d_x=4, d_h=8, d_skip=4, enc_hidden=4,
                             gin_hidden=8, head_hidden=8, variant=variant)
     model = L.Localizer(cfg, seed=0).train()
@@ -44,8 +47,20 @@ def test_training_step_calls_each_stage_by_name(monkeypatch, variant, stages):
     topo = TopoMap(rng.normal(size=(5, 4)), None, [(i, i + 1) for i in range(4)], MapConfig())
     ctx = L.make_context(model, topo)
     calls = count_calls(monkeypatch, L, stages)
-    L.step_logits(model, L.reset_state(topo.n, cfg.d_h), rng.normal(size=(1, 4)), ctx)
+    L.step_logits(model, L.reset_state(topo.n, cfg.d_h), rng.normal(size=(steps, 1, 4)), ctx)
+    return calls
+
+
+@pytest.mark.parametrize("variant, stages", STAGES)
+def test_training_step_calls_each_stage_by_name(monkeypatch, variant, stages):
+    calls = stage_calls(monkeypatch, variant, stages, steps=1)
     assert all(calls.values()), calls
+
+
+@pytest.mark.parametrize("variant, stages", STAGES)
+def test_multi_step_forward_calls_each_stage_once(monkeypatch, variant, stages):
+    calls = stage_calls(monkeypatch, variant, stages, steps=3)
+    assert calls == dict.fromkeys(stages, 1), calls
 
 
 def test_trial_calls_each_stage_by_name(monkeypatch):

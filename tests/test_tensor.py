@@ -10,8 +10,9 @@ import topoloc.localizer as L
 import topoloc.trainer as TR
 from topoloc import tensor as T
 from topoloc.tensor import (Adam, Segments, Tensor, batch_norm, concat,
-                            cross_entropy, gin, grad_check, linear, load_checkpoint,
-                            no_grad, save_checkpoint, softmax_rows)
+                            cross_entropy, gclstm_cell, gin, grad_check, linear,
+                            load_checkpoint, no_grad, save_checkpoint, softmax_rows,
+                            take_rows)
 from topoloc.topo_graph import MapConfig, TopoMap
 
 
@@ -396,6 +397,78 @@ def test_gclstm_step_in_no_grad_saves_nothing():
         assert not out.requires_grad and out._parents == () and out._backward is None
 
 
+def run_cell(params, x, adj, h, c):
+    """`gclstm_cell` on the GCLSTM parameters: (h, c, h_last, c_last)."""
+    gins = [(g.eps, g.w1, g.b1, g.w2, g.b2) for g in params.gins]
+    return gclstm_cell(x, h, c, adj, gins, params.w_ci, params.w_cf, params.w_co,
+                       params.b_i, params.b_f, params.b_c, params.b_o)
+
+
+def unrolled_inputs(n, steps, seed):
+    """`gclstm_inputs` with x holding `steps` blocks of n rows, and loss weights per output."""
+    params, p, _ = gclstm_inputs(n, seed)
+    rng = np.random.default_rng(seed + 1)
+    p["x"] = Tensor.param(rng.normal(size=(steps * n, p["x"].shape[1])), name="x")
+    d_h = p["h"].shape[1]
+    weights = [Tensor.const(rng.normal(size=(rows, d_h))) for rows in (steps * n, steps * n, n, n)]
+    return params, p, weights
+
+
+def weighted_sum(outputs, weights):
+    return sum((out * w).sum() for out, w in zip(outputs, weights))
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_unrolled_gclstm_matches_steps_run_one_at_a_time(n, steps):
+    params, p, weights = unrolled_inputs(n, steps, seed=90 + n)
+
+    def unrolled():
+        return run_cell(params, p["x"], p["adj"], p["h"], p["c"])
+
+    def one_at_a_time():
+        h, c, hs, cs = p["h"], p["c"], [], []
+        for t in range(steps):
+            x_t = take_rows(p["x"], np.arange(t * n, (t + 1) * n))
+            h, c, _, _ = run_cell(params, x_t, p["adj"], h, c)
+            hs.append(h)
+            cs.append(c)
+        return concat(hs), concat(cs), h, c
+
+    for got, want in zip(unrolled(), one_at_a_time()):
+        assert np.array_equal(got.data, want.data)
+    h, new = L.gclstm_step(params, p["x"], p["adj"], L.GCLSTMState(p["h"], p["c"]))
+    outs = unrolled()
+    assert np.array_equal(h.data, outs[0].data)
+    assert np.array_equal(new.h.data, outs[2].data) and np.array_equal(new.c.data, outs[3].data)
+    loss = lambda: weighted_sum(unrolled(), weights)
+    assert_gradients_match(loss, lambda: weighted_sum(one_at_a_time(), weights), p)
+    assert max(grad_check(loss, p).values()) < 1e-6
+
+
+def test_take_rows_and_last_state_row_blocks_match_finite_differences():
+    rng = np.random.default_rng(96)
+    x = Tensor.param(rng.normal(size=(4, 3)), name="x")
+    index = np.array([2, 0, 2, 3, 2])  # row 1 untaken, row 2 taken three times
+    w = Tensor.const(rng.normal(size=(5, 3)))
+    assert max(grad_check(lambda: (take_rows(x, index) * w).sum(), {"x": x}).values()) < 1e-6
+    params, p, weights = unrolled_inputs(3, 3, seed=97)
+
+    def last_state():  # the loss reaches the cell only through its row blocks
+        _, _, h_last, c_last = run_cell(params, p["x"], p["adj"], p["h"], p["c"])
+        return weighted_sum((h_last, c_last), weights[2:])
+
+    assert max(grad_check(last_state, p).values()) < 1e-6
+
+
+def test_gclstm_step_rejects_rows_that_are_not_whole_steps():
+    params, p, _ = gclstm_inputs(3, seed=82)
+    state = L.GCLSTMState(p["h"], p["c"])
+    for rows in (0, 2, 4):
+        with pytest.raises(ValueError, match="whole steps"):
+            L.gclstm_step(params, Tensor.const(np.zeros((rows, 3))), p["adj"], state)
+
+
 # -- graph recording and release ----------------------------------------------------
 
 
@@ -450,6 +523,17 @@ def test_eval_step_without_graph_matches_recorded_step_bitwise(variant):
         for a, b in zip(rec, ev):
             assert np.array_equal(a.data, b.data)
             assert b._parents == ()
+
+
+def test_step_logits_rejects_observations_that_are_not_one_row_per_map():
+    model, topo, observations = small_model_and_map()
+    ctx = L.make_context(model, topo)
+    state = L.reset_state(topo.n, model.cfg.d_h)
+    # a surplus query row would otherwise be gathered for no map without a word
+    for bad in (observations[:1], observations[:2].reshape(1, 2, -1),
+                np.zeros((0, 1, model.cfg.d_obs)), observations[0]):
+        with pytest.raises(ValueError, match="d_obs"):
+            L.step_logits(model, state, bad, ctx)
 
 
 @pytest.mark.parametrize("variant", L.VARIANTS)
@@ -507,7 +591,19 @@ def test_training_iteration_records_same_graph_for_one_and_four_windows(variant,
     _, longer = batch_windows(variant, steps=5)
     assert nodes(windows[:1], model) == nodes(windows, model)
     per_step = nodes(longer, model) - nodes(windows, model)
-    assert 0 < per_step <= 25
+    assert per_step == 0
+    assert nodes(windows, model) <= 32
+
+
+@pytest.mark.parametrize("variant", L.VARIANTS)
+def test_sequence_loss_without_graph_matches_recorded_bitwise(variant):
+    model, windows = batch_windows(variant, steps=6)
+    windows.append(TR.window(windows[2], 1, 2))  # a second, 3-step group
+    recorded = TR.sequence_loss(model.train(), windows)
+    with no_grad():
+        evaluated = TR.sequence_loss(model, windows)
+    assert recorded.requires_grad and not evaluated.requires_grad
+    assert evaluated.item() == recorded.item()
 
 
 def test_backward_frees_graph_without_reference_cycles():
