@@ -164,17 +164,9 @@ def load_map(path):
     return TopoMap.from_dict(_load_json(path, "map artifact"))
 
 
-def _method_variant(method):
-    return {"ours": "full", "no_gclstm": "no_gclstm", "no_skip": "no_skip"}[method]
-
-
 def build_samples(topo, sim_trajs, mc):
     return [TR.make_sim_sample(list(zip(obs, poses)), topo, mc)
             for poses, obs in sim_trajs]
-
-
-def build_real_samples(real_trajs, m_stride):
-    return [TR.make_real_like_sample(obs, m_stride) for _, obs in real_trajs]
 
 
 def cmd_train(args):
@@ -186,12 +178,13 @@ def cmd_train(args):
     real_set = []
     if args.real_data:
         _, real_trajs = load_trajectories(args.real_data)
-        real_set = build_real_samples(real_trajs, mc.m_stride)
+        real_set = [TR.make_real_like_sample(obs, mc.m_stride) for _, obs in real_trajs]
     _, val_trajs = load_trajectories(args.val_data)
     val_set = [TR.window(s, 0, min(tc.tau, s.observations.shape[0] - 1))
                for s in build_samples(topo, val_trajs, mc)]
     d_obs = topo.descriptors.shape[1]
-    cfg = L.LocalizerConfig(d_obs=d_obs, variant=_method_variant(args.method))
+    variant = "full" if args.method == "ours" else args.method  # or an ablation's name
+    cfg = L.LocalizerConfig(d_obs=d_obs, variant=variant)
     model = L.Localizer(cfg, seed=args.seed)
     history = TR.train(model, sim_set, real_set, val_set, tc)
     os.makedirs(args.out, exist_ok=True)
@@ -311,6 +304,13 @@ def cmd_report(args):
 # -- argument parsing --------------------------------------------------------
 
 
+def _positive_int(text):
+    """An argparse type: an integer of at least 1."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="topoloc",
                                 description="topological-map localization pipeline")
@@ -330,7 +330,7 @@ def build_parser():
     common(sp)
     sp.add_argument("--world", required=True)
     sp.add_argument("--domain", choices=("sim", "real_like"), default="sim")
-    sp.add_argument("--count", type=int, default=4)
+    sp.add_argument("--count", type=_positive_int, default=4)
     sp.add_argument("--deviation", type=float, default=0.0)
     sp.add_argument("--noise", type=float, default=0.05)
     sp.add_argument("--name", default="trajectories.json")
@@ -370,8 +370,8 @@ def build_parser():
     sp.add_argument("--map", required=True)
     sp.add_argument("--model", default=None)
     sp.add_argument("--method", choices=METHODS, default="ours")
-    sp.add_argument("--trials", type=int, default=20)
-    sp.add_argument("--time-limit", type=int, default=400)
+    sp.add_argument("--trials", type=_positive_int, default=20)
+    sp.add_argument("--time-limit", type=_positive_int, default=400)
     sp.add_argument("--noise", type=float, default=0.05)
     sp.add_argument("--name", default="nav_eval.csv")
     sp.set_defaults(func=cmd_eval_nav)

@@ -85,6 +85,8 @@ def eval_run(localizer, observations, topo: TopoMap, targets, poses=None,
         raise ValueError("observations and targets differ in length")
     if poses is not None and len(poses) != len(targets):
         raise ValueError("poses and targets differ in length")
+    if len(targets) == 0:
+        raise ValueError("eval_run needs a non-empty trajectory")
     localizer.start(topo)
     preds = []
     for t in range(observations.shape[0]):

@@ -21,6 +21,7 @@ backward: ``linear``, ``gin``, ``take_rows``, ``batch_norm``,
 sequence, with h and c of all steps as column blocks.  Each computes its
 forward in the same operation order as the unfused expression of primitives
 (the cell: as its steps run one at a time), so their values are bit-identical.
+Their backwards sum each parameter adjoint over rows in one ``ones @ g`` or ``einsum``.
 No model path records ``sigmoid``, ``tanh``, ``exp``, ``sqrt``, ``mean``,
 ``-`` or ``/``; they stay because the tests build the fused ops' references
 from them.
@@ -280,11 +281,8 @@ class Tensor:
         out = Tensor(self.data.sum(axis=axis))
         if _recording(self):
             def bwd(g):
-                if axis is None:
-                    self._accum(np.full_like(self.data, 1.0) * g)
-                else:
-                    self._accum(np.broadcast_to(np.expand_dims(g, axis),
-                                                self.data.shape).copy())
+                g = g if axis is None else np.expand_dims(g, axis)
+                self._accum(np.broadcast_to(g, self.data.shape).copy())
             out._record((self,), bwd)
         return out
 
@@ -341,7 +339,7 @@ def linear(x, w, b):
             if w.requires_grad:
                 w._accum(x.data.T @ g)
             if b.requires_grad:
-                b._accum(g.sum(axis=0))
+                b._accum(np.ones(len(g)) @ g)
         out._record((x, w, b), bwd)
     return out
 
@@ -370,8 +368,8 @@ def _gin_backprop(g, hidden, eps, w1, b1, w2, b2, g_hidden=None, g_agg=None):
 
 def _gin_param_adjoints(g, g_hidden, g_agg, u, agg, hidden, eps, w1, b1, w2, b2):
     """Accumulate a GIN layer's parameter adjoints over all rows of its input `u`."""
-    for t, gt in ((w2, hidden.T @ g), (b2, g.sum(axis=0)), (w1, agg.T @ g_hidden),
-                  (b1, g_hidden.sum(axis=0)), (eps, (g_agg * u).sum(axis=0).sum())):
+    for t, gt in ((w2, hidden.T @ g), (b2, np.ones(len(g)) @ g), (w1, agg.T @ g_hidden),
+                  (b1, np.ones(len(g)) @ g_hidden), (eps, np.einsum("ij,ij->", g_agg, u))):
         if t.requires_grad:
             t._accum(gt)
 
@@ -530,9 +528,10 @@ def gclstm_cell(x, h0, c0, adj, gins, w_ci, w_cf, w_co, b_i, b_f, b_c, b_o):
                                 g_hidden[j][rows], g_agg[j][rows])[1] for j in range(4)]
             dh = (ga[0] * scales[0] + ga[1] * scales[1] + ga[2] * scales[2]
                   + ga[3] * scales[3] + ad.T @ (ga[0] + ga[1] + ga[2] + ga[3]))
-        sums = [(t, a.sum(axis=0)) for t, a in ((w_ci, dz[0] * c_prev), (w_cf, dz[1] * c_prev),
-                (w_co, dz[3] * c_all), (b_i, dz[0]), (b_f, dz[1]), (b_c, dz[2]), (b_o, dz[3]))]
-        for t, gt in [(h0, dh), (c0, dc)] + sums:
+        peepholes = [(t, np.einsum("ij,ij->j", a, c)) for t, a, c in
+                     ((w_ci, dz[0], c_prev), (w_cf, dz[1], c_prev), (w_co, dz[3], c_all))]
+        biases = zip((b_i, b_f, b_c, b_o), np.ones(steps * n) @ dz)
+        for t, gt in [(h0, dh), (c0, dc), *peepholes, *biases]:
             if t.requires_grad:
                 t._accum(gt)
         x_agg = []
@@ -657,9 +656,9 @@ def batch_norm(x, gamma, beta, eps=1e-5, segments=None):
     if _recording(x, gamma, beta):
         def bwd(g):
             if gamma.requires_grad:
-                gamma._accum((g * xhat).sum(axis=0))
+                gamma._accum(np.einsum("ij,ij->j", g, xhat))
             if beta.requires_grad:
-                beta._accum(g.sum(axis=0))
+                beta._accum(np.ones(len(g)) @ g)
             if x.requires_grad:
                 gx = g * gamma.data
                 x._accum((gx - seg.spread(seg.reduce(np.add, gx) / n)
@@ -672,7 +671,12 @@ def batch_norm(x, gamma, beta, eps=1e-5, segments=None):
 
 
 class Adam:
-    """Adam with per-group learning rates (encoder vs everything else)."""
+    """Adam with per-group learning rates (encoder vs everything else).
+
+    One in-place pass over flat moment vectors, in a per-parameter update's
+    elementwise order, so values are bit-identical to it.  A parameter whose
+    `grad` is None keeps its value and moments.
+    """
 
     b1, b2, eps = 0.9, 0.999, 1e-8
 
@@ -680,36 +684,50 @@ class Adam:
         # groups: list of (params, lr) with params a list of Tensors
         self.groups = [(list(ps), lr) for ps, lr in groups]
         self.t = 0
-        self.m = {}
-        self.v = {}
+        self._params, self._slices, self._group_slices = [], [], []
+        offset = 0
+        for ps, lr in self.groups:
+            start = offset
+            for p in ps:
+                self._params.append(p)
+                self._slices.append(slice(offset, offset + p.data.size))
+                offset += p.data.size
+            self._group_slices.append((slice(start, offset), lr))
+        self.m, self.v = np.zeros(offset), np.zeros(offset)
 
     def zero_grad(self):
-        for ps, _ in self.groups:
-            for p in ps:
-                p.grad = None
+        for p in self._params:
+            p.grad = None
 
     def step(self):
+        grads, idle = [np.zeros(0)], []  # an array to join even with no parameters
+        for p, s in zip(self._params, self._slices):
+            if p.grad is None:  # updated with a zero gradient, then its moments put back
+                idle.append((s, self.m[s].copy(), self.v[s].copy()))
+            elif np.shape(p.grad) != p.data.shape:
+                raise ValueError("gradient/parameter shape mismatch")
+            grads.append(np.zeros(p.data.shape) if p.grad is None else p.grad)
         self.t += 1
-        for ps, lr in self.groups:
-            for p in ps:
-                g = p.grad
-                if g is None:
-                    continue
-                if g.shape != p.data.shape:
-                    raise ValueError("gradient/parameter shape mismatch")
-                key = id(p)
-                m = self.m.get(key)
-                if m is None:
-                    m = np.zeros_like(p.data)
-                    self.v[key] = np.zeros_like(p.data)
-                v = self.v[key]
-                m = self.b1 * m + (1 - self.b1) * g
-                v = self.b2 * v + (1 - self.b2) * g * g
-                self.m[key] = m
-                self.v[key] = v
-                mhat = m / (1 - self.b1 ** self.t)
-                vhat = v / (1 - self.b2 ** self.t)
-                p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)
+        g = np.concatenate(grads, axis=None)
+        g2 = np.multiply(1 - self.b2, g)
+        g2 *= g
+        self.v *= self.b2
+        self.v += g2
+        g *= 1 - self.b1
+        self.m *= self.b1
+        self.m += g
+        for s, m, v in idle:
+            self.m[s], self.v[s] = m, v
+        step = np.divide(self.m, 1 - self.b1 ** self.t, out=g)  # mhat
+        for s, lr in self._group_slices:
+            step[s] *= lr
+        denom = np.divide(self.v, 1 - self.b2 ** self.t, out=g2)  # vhat
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        for p, s in zip(self._params, self._slices):
+            if p.grad is not None:
+                p.data -= step[s].reshape(p.data.shape)
 
 
 # -- gradient verification ---------------------------------------------------

@@ -16,6 +16,7 @@ configurable ratio; early stopping follows the validation loss.
 
 from __future__ import annotations
 
+import ctypes
 import gc
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -205,6 +206,33 @@ def _collector_paused():
             gc.enable()
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # malloc.h
+
+
+def _mallopt(param, value):
+    """The C library's ``mallopt(param, value)``; does nothing where it has none."""
+    try:
+        return ctypes.CDLL(None).mallopt(param, value)
+    except (AttributeError, OSError, TypeError):
+        return 0
+
+
+@contextmanager
+def _heap_kept():
+    """Keep freed heap in the process; restore glibc's default trim threshold on exit.
+
+    An iteration frees megabytes of activations that the next allocates again,
+    which glibc would otherwise unmap or trim and fault in anew.  The mmap
+    threshold stays raised: once set, glibc no longer adapts it.
+    """
+    _mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    _mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    try:
+        yield
+    finally:
+        _mallopt(_M_TRIM_THRESHOLD, 128 << 10)
+
+
 def train(model: L.Localizer, sim_set, real_set, val_set, cfg: TrainConfig):
     """Optimize until the validation loss stops improving; keep the best."""
     if len(sim_set) == 0 and cfg.mix_ratio < 1.0:
@@ -219,7 +247,7 @@ def train(model: L.Localizer, sim_set, real_set, val_set, cfg: TrainConfig):
     history = TrainHistory()
     best_snapshot = model.state_snapshot()
     model.train()
-    with _collector_paused():
+    with _collector_paused(), _heap_kept():
         val = validation_loss(model, val_set, cfg)
         since_best = 0
         for it in range(1, cfg.max_iters + 1):

@@ -196,6 +196,20 @@ def test_config_flag_only_where_read(capsys, argv):
     assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["collect", "--world", "w.json", "--count", "0"], "--count"),
+    (["eval-nav", "--world", "w.json", "--map", "m.json", "--trials", "0"], "--trials"),
+    (["eval-nav", "--world", "w.json", "--map", "m.json", "--time-limit", "0"], "--time-limit"),
+    (["eval-nav", "--world", "w.json", "--map", "m.json", "--trials", "-2"], "--trials"),
+])
+def test_counts_below_one_exit_2_at_parsing(capsys, tmp_path, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be an integer of at least 1" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
 @pytest.mark.parametrize("index", ["1", "-1"])
 def test_build_map_index_out_of_range(pipeline, tmp_path, capsys, index):
     # mapping.json holds a single trajectory

@@ -86,6 +86,11 @@ def test_length_mismatch_errors():
                    poses=topo.poses)
 
 
+def test_empty_trajectory_errors():
+    with pytest.raises(ValueError, match="non-empty"):
+        E.eval_run(FixedLocalizer([]), np.zeros((0, 4)), chain_map(3), [])
+
+
 def test_metrics_invariant_under_relabeling():
     topo = chain_map(5, seed=2)
     rng = np.random.default_rng(3)

@@ -139,6 +139,85 @@ def test_adam_converges_on_convex_quadratic():
     assert np.allclose(p.data, [3.0, -1.0], atol=1e-6)
 
 
+class ReferenceAdam:
+    """Per-parameter Adam: the loop that the flat update replaces."""
+
+    b1, b2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, groups):
+        self.groups = [(list(ps), lr) for ps, lr in groups]
+        self.t = 0
+        self.m, self.v = {}, {}
+
+    def step(self):
+        self.t += 1
+        for ps, lr in self.groups:
+            for p in ps:
+                g = p.grad
+                if g is None:
+                    continue
+                key = id(p)
+                m = self.m.get(key)
+                if m is None:
+                    m = np.zeros_like(p.data)
+                    self.v[key] = np.zeros_like(p.data)
+                v = self.v[key]
+                m = self.b1 * m + (1 - self.b1) * g
+                v = self.b2 * v + (1 - self.b2) * g * g
+                self.m[key] = m
+                self.v[key] = v
+                mhat = m / (1 - self.b1 ** self.t)
+                vhat = v / (1 - self.b2 ** self.t)
+                p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+def test_flat_adam_matches_per_parameter_update_bit_for_bit():
+    shapes = [[(3, 4), (), (5,)], [(2, 2, 3), (1,), (6, 1), ()]]  # two lr groups
+
+    def params():
+        rng = np.random.default_rng(18)
+        return [[Tensor.param(rng.normal(size=s)) for s in group] for group in shapes]
+
+    flat_groups, ref_groups = params(), params()
+    flat = Adam([(flat_groups[0], 3e-4), (flat_groups[1], 1e-3)])
+    ref = ReferenceAdam([(ref_groups[0], 3e-4), (ref_groups[1], 1e-3)])
+    flat_ps, ref_ps = sum(flat_groups, []), sum(ref_groups, [])
+    idle = 5  # the second group's third parameter gets no gradient at step 3
+    rng = np.random.default_rng(17)
+    for step in range(1, 8):
+        for k, (p, q) in enumerate(zip(flat_ps, ref_ps)):
+            g = rng.normal(size=p.data.shape) * 10.0 ** rng.integers(-6, 2)
+            p.grad, q.grad = (None, None) if (step, k) == (3, idle) else (g, g.copy())
+        m, v = flat.m.copy(), flat.v.copy()
+        flat.step()
+        ref.step()
+        for p, q in zip(flat_ps, ref_ps):
+            assert np.array_equal(p.data, q.data)
+        if step == 3:
+            s = flat._slices[idle]
+            assert np.array_equal(flat.m[s], m[s]) and np.array_equal(flat.v[s], v[s])
+    assert np.array_equal(flat.m, np.concatenate([ref.m[id(q)] for q in ref_ps], axis=None))
+    assert np.array_equal(flat.v, np.concatenate([ref.v[id(q)] for q in ref_ps], axis=None))
+
+
+def test_adam_rejects_gradient_of_wrong_shape():
+    p, q = Tensor.param(np.ones(3)), Tensor.param(np.ones((2, 2)))
+    opt = Adam([([p, q], 0.1)])
+    p.grad, q.grad = np.ones(3), np.ones(4)
+    with pytest.raises(ValueError, match="shape"):
+        opt.step()
+    assert np.array_equal(p.data, np.ones(3)) and opt.t == 0
+
+
+def test_adam_with_an_empty_group_steps():
+    p = Tensor.param(np.array([1.0, -1.0]))
+    opt = Adam([([], 1e-5), ([p], 0.1)])
+    p.grad = np.array([1.0, -1.0])
+    opt.step()
+    assert np.allclose(p.data, [0.9, -0.9])
+    Adam([([], 1e-3)]).step()
+
+
 @given(st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=20, deadline=None)
 def test_forward_deterministic(seed):

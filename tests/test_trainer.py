@@ -2,13 +2,17 @@
 accounting, early stopping, and deterministic histories."""
 
 import gc
+import platform
+import sys
 
 import numpy as np
 import pytest
 
 import topoloc.localizer as L
+import topoloc.simworld as W
 import topoloc.trainer as TR
-from topoloc.topo_graph import MapConfig, Pose2D, TopoMap, build_map_real, pose_distance
+from topoloc.topo_graph import (MapConfig, Pose2D, TopoMap, build_map_real, build_map_sim,
+                                pose_distance)
 
 
 def small_cfg(**kw):
@@ -305,6 +309,72 @@ def test_train_pauses_collector_and_restores_its_state(monkeypatch, enabled, fai
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert len(seen) >= 3 and not any(seen)
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_train_keeps_freed_heap_and_restores_trim_threshold(monkeypatch, fail):
+    topo = posed_map(5, 4, seed=44)
+    sample = sim_sample(topo, 6, seed=45)
+    tc = TR.TrainConfig(tau=3, n_prime=5, batch_size=1, max_iters=3,
+                        patience_iters=5, val_every=1, seed=46)
+    calls, seen = [], []
+    real_loss = TR.sequence_loss
+
+    def watched_loss(*args):
+        seen.append(list(calls))
+        if fail and len(seen) == 3:
+            raise RuntimeError("injected mid-loop failure")
+        return real_loss(*args)
+
+    monkeypatch.setattr(TR, "_mallopt", lambda param, value: calls.append((param, value)))
+    monkeypatch.setattr(TR, "sequence_loss", watched_loss)
+    model = L.Localizer(small_cfg(), seed=47)
+    if fail:
+        with pytest.raises(RuntimeError, match="injected"):
+            TR.train(model, [sample], [], [sample], tc)
+    else:
+        TR.train(model, [sample], [], [sample], tc)
+    raised = [(TR._M_MMAP_THRESHOLD, 32 << 20), (TR._M_TRIM_THRESHOLD, 256 << 20)]
+    assert len(seen) >= 3 and all(c == raised for c in seen)
+    assert calls == raised + [(TR._M_TRIM_THRESHOLD, 128 << 10)]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="page faults of glibc's malloc")
+def test_steady_state_train_iteration_faults_in_fewer_than_50_pages(monkeypatch):
+    # the benchmark's train size: 3 windows of 16 steps on the 33-node
+    # corridor map; an iteration allocates megabytes of activations
+    resource = pytest.importorskip("resource")
+    world = W.generate_world(W.benchmark_spec(seed=0))
+    om = W.ObservationModel.create(16, noise_sigma=0.05, shift_seed=7, extra_sigma=0.05)
+    mc = MapConfig()
+
+    def trajectory(deviation, seed, reverse=False):
+        a, b = (world.total_length, 0.0) if reverse else (0.0, world.total_length)
+        poses = W.generate_trajectory(world, a, b, deviation, seed, step=1.0)
+        return list(zip(W.render_trajectory(world, poses, om, "sim", seed + 100000), poses))
+
+    topo = build_map_sim(trajectory(0.0, 1), mc)
+    assert topo.n == 33
+    samples = [TR.make_sim_sample(trajectory(0.3, s, s % 2 == 1), topo, mc) for s in (11, 12, 13)]
+    val = [TR.window(samples[0], 5, 15)]
+    tc = TR.TrainConfig(tau=15, n_prime=40, lr_main=1e-3, lr_encoder=3e-4, batch_size=3,
+                        max_iters=12, patience_iters=13, val_every=10, seed=52)
+    faults = []
+
+    class MarkedAdam(TR.Adam):
+        def zero_grad(self):
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+            super().zero_grad()
+
+    monkeypatch.setattr(TR, "Adam", MarkedAdam)
+    for _ in range(2):  # a warm-up call, then the measured one
+        faults.clear()
+        TR.train(L.Localizer(L.LocalizerConfig(), seed=53), samples, [], val, tc)
+    # the first iterations of a call regrow the heap trimmed after the last call,
+    # so a steady-state iteration is the median one
+    per_iteration = np.diff(faults)
+    assert np.median(per_iteration) < 50, per_iteration
 
 
 def test_train_input_validation():
