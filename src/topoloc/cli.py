@@ -202,6 +202,10 @@ def make_localizer(args, topo):
     if args.method == "oracle":
         return E.OracleLocalizer(omega)
     model = L.Localizer.from_checkpoint(_require(args.model, "model checkpoint"))
+    width = topo.descriptors.shape[1]
+    if model.cfg.d_obs != width:
+        raise CliError(f"checkpoint {args.model} has d_obs={model.cfg.d_obs} but map "
+                       f"{args.map} has {width}-wide descriptors")
     return E.ModelLocalizer(model, name=args.method)
 
 
@@ -234,6 +238,8 @@ def cmd_eval_loc(args):
 def cmd_eval_nav(args):
     world = load_world(args.world)
     topo = load_map(args.map)
+    if not topo.has_poses:
+        raise CliError(f"map {args.map} has no poses to navigate by; build it with --style sim")
     mc = topo.config or MapConfig()
     obs_model = default_obs_model(world, args.noise)
     loc = make_localizer(args, topo)

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import localizer as L
 from .topo_graph import TopoMap, UNREACHABLE, nearest_node, pose_distance
+from .trainer import _heap_kept
 
 
 @dataclass
@@ -67,7 +68,7 @@ class ModelLocalizer:
         self.name = name or model.cfg.variant
 
     def start(self, topo):
-        self.topo = topo
+        self.topo, self.ctx = topo, None  # the old context is freed before the new is made
         self.ctx = L.make_context(self.model, topo)
         self.state = L.reset_state(topo.n, self.model.cfg.d_h)
 
@@ -89,9 +90,10 @@ def eval_run(localizer, observations, topo: TopoMap, targets, poses=None,
         raise ValueError("eval_run needs a non-empty trajectory")
     localizer.start(topo)
     preds = []
-    for t in range(observations.shape[0]):
-        gt_pose = poses[t] if poses is not None else None
-        preds.append(localizer.step(observations[t], gt_pose))
+    with _heap_kept():  # a step frees what the next allocates again
+        for t in range(observations.shape[0]):
+            gt_pose = poses[t] if poses is not None else None
+            preds.append(localizer.step(observations[t], gt_pose))
     hits, near, hops, pes = 0, 0, [], []
     for t, (pred, y) in enumerate(zip(preds, targets)):
         if pred == y:

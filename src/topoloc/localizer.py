@@ -34,8 +34,8 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import (Tensor, Segments, batch_norm, concat, gclstm_cell, gin, linear,
-                     take_rows)
+from .tensor import (Tensor, Segments, batch_norm, concat, gclstm_cell, gclstm_stack, gin,
+                     linear, take_rows)
 from .topo_graph import TopoMap
 
 VARIANTS = ("full", "no_gclstm", "no_skip")
@@ -186,16 +186,22 @@ def gin_aggregate(params: GINParams, x: Tensor, edges) -> Tensor:
     return gin(x, adj, params.eps, params.w1, params.b1, params.w2, params.b2)
 
 
-def gclstm_step(params: GCLSTMParams, x: Tensor, edges, state: GCLSTMState):
-    """The GCLSTM over the steps stacked in `x`: (h of every step, state after the last)."""
+def _cell_gins(params: GCLSTMParams):
+    return [(g.eps, g.w1, g.b1, g.w2, g.b2) for g in params.gins]
+
+
+def gclstm_step(params: GCLSTMParams, x: Tensor, edges, state: GCLSTMState, stacked=None):
+    """The GCLSTM over the steps stacked in `x`: (h of every step, state after the last).
+
+    `stacked` is the `gclstm_stack` a `MapContext` holds; without it the cell stacks.
+    """
     n = state.h.shape[0]
     if x.shape[0] < n or x.shape[0] % n:
         raise ValueError(f"{x.shape[0]} input rows are not whole steps of the {n}-row state")
     adj = _as_adjacency(n, edges)
-    gins = [(g.eps, g.w1, g.b1, g.w2, g.b2) for g in params.gins]
-    h, _, h_last, c_last = gclstm_cell(x, state.h, state.c, adj, gins, params.w_ci,
-                                       params.w_cf, params.w_co, params.b_i, params.b_f,
-                                       params.b_c, params.b_o)
+    h, _, h_last, c_last = gclstm_cell(x, state.h, state.c, adj, _cell_gins(params),
+                                       params.w_ci, params.w_cf, params.w_co, params.b_i,
+                                       params.b_f, params.b_c, params.b_o, stacked)
     return h, GCLSTMState(h_last, c_last)
 
 
@@ -238,11 +244,14 @@ class MapContext:
 
     The maps' node rows are concatenated and `adj` is block-diagonal.
     `segments` holds each map's block of rows; its ``ids`` give each row's
-    map, which is the row of that map's observation in a step.
+    map, which is the row of that map's observation in a step.  `gclstm` is
+    `gclstm_stack` of the model's GCLSTM, if any.  A context is valid for the
+    parameter values it was made from: `train` makes one per iteration.
     """
     node_embs: Tensor
     adj: Tensor
     segments: Segments
+    gclstm: tuple | None = None
 
 
 class Localizer:
@@ -325,7 +334,14 @@ def _inference(model: Localizer):
 
 
 def make_context(model: Localizer, *topos: TopoMap) -> MapContext:
-    """The context of one map, or of the disjoint union of `topos` in order."""
+    """The context of one map, or of the disjoint union of `topos` in order.
+
+    Raises ValueError unless every map's descriptors are `d_obs` wide.
+    """
+    for t in topos:
+        if t.descriptors.shape[1] != model.cfg.d_obs:
+            raise ValueError(f"map descriptors are {t.descriptors.shape[1]} wide but the "
+                             f"model has d_obs={model.cfg.d_obs}")
     segments = Segments(t.n for t in topos)
     rows = sum(segments.sizes)
     adj = np.zeros((rows, rows))
@@ -334,18 +350,18 @@ def make_context(model: Localizer, *topos: TopoMap) -> MapContext:
     descriptors = np.concatenate([t.descriptors for t in topos])
     with _inference(model):
         node_embs = encode(model.encoder, Tensor.const(descriptors))
-    return MapContext(node_embs, Tensor.const(adj), segments)
+    g = model.gclstm
+    stacked = None if g is None else gclstm_stack(_cell_gins(g), g.b_i, g.b_f, g.b_c, rows)
+    return MapContext(node_embs, Tensor.const(adj), segments, stacked)
 
 
-def check_observations(model: Localizer, observations, topo: TopoMap):
-    """Raise ValueError unless the observation rows are finite and match the model and map."""
+def check_observations(model: Localizer, observations):
+    """Raise ValueError unless the observation rows are finite and `d_obs` wide."""
     if observations.shape[-1] != model.cfg.d_obs:
         raise ValueError(f"observation shape {observations.shape} does not match "
                          f"d_obs={model.cfg.d_obs}")
     if not np.all(np.isfinite(observations)):
         raise ValueError("observation contains non-finite values")
-    if topo.descriptors.shape[1] != model.cfg.d_obs:
-        raise ValueError("map descriptor dimension does not match model")
 
 
 def step_logits(model: Localizer, state: GCLSTMState, observations, ctx: MapContext):
@@ -372,7 +388,7 @@ def step_logits(model: Localizer, state: GCLSTMState, observations, ctx: MapCont
             h = _mlp(model.frame, x, segments).relu()
             new_state = state
         else:
-            h, new_state = gclstm_step(model.gclstm, x, ctx.adj, state)
+            h, new_state = gclstm_step(model.gclstm, x, ctx.adj, state, ctx.gclstm)
         skip = skip_path(model.skip, x) if model.skip is not None else None
         logits = identify_logits(model.head, h, skip, segments)
     return logits, new_state
@@ -390,7 +406,7 @@ def localize_step(model: Localizer, state: GCLSTMState, observation, topo: TopoM
     obs = np.asarray(observation, dtype=np.float64)
     if obs.ndim != 1:
         raise ValueError(f"observation shape {obs.shape} does not match d_obs={model.cfg.d_obs}")
-    check_observations(model, obs, topo)
+    check_observations(model, obs)
     if ctx is None:
         ctx = make_context(model, topo)
     logits, new_state = step_logits(model, state, obs.reshape(1, 1, -1), ctx)

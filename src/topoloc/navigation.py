@@ -19,6 +19,7 @@ import numpy as np
 
 from .simworld import World, render_observation, segment_intersects
 from .topo_graph import UNREACHABLE, Pose2D, TopoMap, nearest_node, wrap_angle_deg
+from .trainer import _heap_kept
 
 SUCCESS = "success"
 COLLISION = "collision"
@@ -114,6 +115,9 @@ def _contact_point(p0, p1, q0, q1):
 
 def run_trial(world: World, topo: TopoMap, localizer, obs_model, start: Pose2D,
               cfg: NavConfig, seed=0) -> TrialOutcome:
+    """Drive from `start` toward the pose of `cfg.goal_node`; the map needs poses."""
+    if not topo.has_poses:
+        raise ValueError("navigation needs a map with poses")
     rng = np.random.default_rng(seed)
     goal_pose = topo.poses[cfg.goal_node]
     localizer.start(topo)
@@ -124,22 +128,23 @@ def run_trial(world: World, topo: TopoMap, localizer, obs_model, start: Pose2D,
     nominal = _plan_or_goal(topo, start_node, cfg.goal_node)
     gains = ControlGains()
     status = TIMEOUT
-    for step in range(cfg.time_limit_steps):
-        if math.hypot(pose.x - goal_pose.x, pose.y - goal_pose.y) <= ARRIVAL_RADIUS:
-            status = SUCCESS
-            break
-        obs = render_observation(world, pose, obs_model, "sim", rng)
-        node = localizer.step(obs, pose)
-        subgoal = next_subgoal(_plan_or_goal(topo, node, cfg.goal_node))
-        log.append((step, node, subgoal))
-        pose, collided = control_step(world, pose, topo.poses[subgoal], gains)
-        visited.append(pose)
-        if collided:
-            status = COLLISION
-            break
-    else:
-        if math.hypot(pose.x - goal_pose.x, pose.y - goal_pose.y) <= ARRIVAL_RADIUS:
-            status = SUCCESS
+    with _heap_kept():  # a step frees what the next allocates again
+        for step in range(cfg.time_limit_steps):
+            if math.hypot(pose.x - goal_pose.x, pose.y - goal_pose.y) <= ARRIVAL_RADIUS:
+                status = SUCCESS
+                break
+            obs = render_observation(world, pose, obs_model, "sim", rng)
+            node = localizer.step(obs, pose)
+            subgoal = next_subgoal(_plan_or_goal(topo, node, cfg.goal_node))
+            log.append((step, node, subgoal))
+            pose, collided = control_step(world, pose, topo.poses[subgoal], gains)
+            visited.append(pose)
+            if collided:
+                status = COLLISION
+                break
+        else:
+            if math.hypot(pose.x - goal_pose.x, pose.y - goal_pose.y) <= ARRIVAL_RADIUS:
+                status = SUCCESS
     coverage = _coverage(visited, [topo.poses[i] for i in nominal], ARRIVAL_RADIUS)
     return TrialOutcome(status, visited, coverage, len(visited) - 1, log)
 

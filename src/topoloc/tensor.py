@@ -20,7 +20,7 @@ backward: ``linear``, ``gin``, ``take_rows``, ``batch_norm``,
 ``cross_entropy`` and ``gclstm_cell``, whose one node spans every step of a
 sequence, with h and c of all steps as column blocks.  Each computes its
 forward in the same operation order as the unfused expression of primitives
-(the cell: as its steps run one at a time), so their values are bit-identical.
+(the cell: as its steps and its stacked GINs run one at a time), so their values are bit-identical.
 Their backwards sum each parameter adjoint over rows in one ``ones @ g`` or ``einsum``.
 No model path records ``sigmoid``, ``tanh``, ``exp``, ``sqrt``, ``mean``,
 ``-`` or ``/``; they stay because the tests build the fused ops' references
@@ -344,20 +344,20 @@ def linear(x, w, b):
     return out
 
 
-def _gin_forward(u, au, eps, w1, b1, w2, b2, agg=None, hidden=None):
-    """GIN layer on arrays, given ``au = adj @ u``: (scale, agg, hidden, out).
+def _gin_forward(u, au, scale, w1, b1, w2, b2, agg=None, hidden=None, out=None):
+    """GIN layer on arrays, given ``au = adj @ u`` and ``scale = eps + 1``: (agg, hidden, out).
 
-    Sums and ReLU run in place, `agg` and `hidden` in the given arrays if any.
+    Sums and ReLU run in place, in `agg`, `hidden` and `out` if given.  Weights
+    stacked on a leading axis run several layers as one call, each as if alone.
     """
-    scale = eps.data + 1.0
     agg = np.multiply(u, scale, out=agg)
     agg += au
-    hidden = np.matmul(agg, w1.data, out=hidden)
-    hidden += b1.data
+    hidden = np.matmul(agg, w1, out=hidden)
+    hidden += b1
     np.maximum(hidden, 0.0, out=hidden)
-    out = hidden @ w2.data
-    out += b2.data
-    return scale, agg, hidden, out
+    out = np.matmul(hidden, w2, out=out)
+    out += b2
+    return agg, hidden, out
 
 
 def _gin_backprop(g, hidden, eps, w1, b1, w2, b2, g_hidden=None, g_agg=None):
@@ -377,7 +377,9 @@ def _gin_param_adjoints(g, g_hidden, g_agg, u, agg, hidden, eps, w1, b1, w2, b2)
 def gin(x, adj, eps, w1, b1, w2, b2):
     """GIN layer ``relu(((1 + eps) x + adj @ x) @ w1 + b1) @ w2 + b2`` as one graph node."""
     params = (eps, w1, b1, w2, b2)
-    scale, agg, hidden, out = _gin_forward(x.data, adj.data @ x.data, *params)
+    scale = eps.data + 1.0
+    agg, hidden, out = _gin_forward(x.data, adj.data @ x.data, scale, w1.data, b1.data,
+                                    w2.data, b2.data)
     out = Tensor(out)
     if _recording(x, adj, *params):
         def bwd(g):
@@ -425,7 +427,24 @@ def _blocks(inputs, backward, data, index):
     return outs
 
 
-def gclstm_cell(x, h0, c0, adj, gins, w_ci, w_cf, w_co, b_i, b_f, b_c, b_o):
+def gclstm_stack(gins, b_i, b_f, b_c, rows):
+    """Copies of `gclstm_cell`'s weights for `rows` node rows: (x side, h side, (b_i, b_f, b_c)).
+
+    A side stacks its four GIN layers' ``eps + 1``, w1, b1, w2 and b2 on a leading
+    axis.  Biases are repeated over the rows: one contiguous add, not one per row.
+    """
+    def tiled(biases):
+        return np.repeat(np.array([b.data for b in biases])[:, None], rows, axis=1)
+
+    def side(layers):
+        eps, w1, b1, w2, b2 = zip(*layers)
+        return ((np.array([e.data for e in eps]) + 1.0).reshape(4, 1, 1),
+                np.array([w.data for w in w1]), tiled(b1), np.array([w.data for w in w2]),
+                tiled(b2))
+    return side(gins[0::2]), side(gins[1::2]), tiled((b_i, b_f, b_c))
+
+
+def gclstm_cell(x, h0, c0, adj, gins, w_ci, w_cf, w_co, b_i, b_f, b_c, b_o, stacked=None):
     """Graph-convolutional LSTM steps as one graph node: (h, c, h_last, c_last).
 
     `x` stacks one block of ``n = adj.shape[0]`` node rows per step, and the
@@ -439,56 +458,58 @@ def gclstm_cell(x, h0, c0, adj, gins, w_ci, w_cf, w_co, b_i, b_f, b_c, b_o):
         o = sigmoid(G6(x_t) + G7(h_{t-1}) + w_co * c_t + b_o)
         h_t = o * tanh(c_t)
 
-    The x-side layers run once over all steps, multiplying each step's block
-    on its own, so every value is that of the steps run one at a time; only
-    the h-side layers and the gates loop over steps.  h and c of all steps
-    are the node's column blocks and the last step's h and c its row blocks
-    (h and c themselves for one step).  The backward is one reverse-time
-    loop, then the parameter adjoints are taken once over all rows.
+    The four h-side layers run as one call stacked on a leading axis, as do
+    the four x-side layers of a one-step call; the x-side layers of several
+    steps run once over all of them, one layer at a time, multiplying each
+    step's block on its own.  So every value is that of the steps and layers
+    run one at a time.  `stacked` is `gclstm_stack` of the current parameter
+    values for n rows; without it the cell stacks them itself.  h and c of
+    all steps are the node's column blocks and the last step's h and c its
+    row blocks (h and c themselves for one step).  The backward is one
+    reverse-time loop, then the parameter adjoints are taken once over all rows.
     """
     inputs = ((x, h0, c0, adj) + tuple(t for p in gins for t in p)
               + (w_ci, w_cf, w_co, b_i, b_f, b_c, b_o))
     recording = _recording(*inputs)
     xd, hd, cd, ad = x.data, h0.data, c0.data, adj.data
     n, d = hd.shape
+    xw, hw, b_ifc = gclstm_stack(gins, b_i, b_f, b_c, n) if stacked is None else stacked
     steps = xd.shape[0] // n
     x_steps = xd if steps == 1 else xd.reshape(steps, n, -1)
     ax = ad @ x_steps
-    x_layers, gates = [], []
-
-    def output(k, u, au, *into):
-        # without a graph to record, intermediates are dropped once the layer's output
-        # exists and outputs once added into their gate, for a low evaluation peak
-        layer = _gin_forward(u, au, *gins[k], *into)
-        if recording and k % 2 == 0:
-            x_layers.append(layer[:3])  # the output is not needed for the backward
-        return layer[3]
-
-    # the x-side layers of several steps run once over all of them
-    zx = [output(k, x_steps, ax) for k in range(0, 8, 2)] if steps > 1 else None
+    zx = np.empty((4, steps, n, d))  # the x-side layers' outputs
+    x_layers, gates = [], []  # without a graph to record, intermediates are dropped once used
+    for j in [slice(None)] if steps == 1 else range(4):
+        agg, hidden, _ = _gin_forward(x_steps, ax, *(a[j] for a in xw),
+                                      out=zx[:, 0] if steps == 1 else zx[j])
+        if recording:
+            x_layers += zip(xw[0], agg, hidden) if steps == 1 else [(xw[0][j], agg, hidden)]
+    agg = hidden = None  # unless recorded, the last layer's are released here
     out = np.empty(((steps + 1) * n, 2 * d)) if recording or steps > 1 else None
     if out is not None:  # node rows: the initial state, then one block per step; h | c columns
         out[:n, :d], out[:n, d:] = hd, cd
     if recording:  # each step's agg and hidden rows of the h-side layers
-        h_saved = [(np.empty((steps * n, d)), np.empty((steps * n, gins[k][1].data.shape[1])))
-                   for k in range(1, 8, 2)]
+        h_agg, h_hidden = np.empty((4, steps * n, d)), np.empty((4, steps * n, hw[1].shape[2]))
+        h_saved = list(zip(h_agg, h_hidden))
     for t in range(steps):
         rows = slice(t * n, (t + 1) * n)
-        ah = ad @ hd
-        into = [(agg[rows], hidden[rows]) for agg, hidden in h_saved] if recording else [()] * 4
-
-        def gate(j, activation, *terms):  # summed in place, in the order of the equations
-            z = output(2 * j, xd, ax) if zx is None else zx[j][t]
-            for term in (output(2 * j + 1, hd, ah, *into[j]),) + terms:
-                z += term
-            return activation(z, out=z)
-
-        i = gate(0, _sigmoid, w_ci.data * cd, b_i.data)
-        f = gate(1, _sigmoid, w_cf.data * cd, b_f.data)
-        cand = gate(2, np.tanh, b_c.data)
+        # the pre-activations of i, f, the candidate and o, summed in place in the
+        # order of the equations (the GIN terms commute); without a graph to record,
+        # the h-side layers' output overwrites their sums, no longer needed by then
+        z = np.empty((4, n, d))
+        _gin_forward(hd, ad @ hd, *hw, *((h_agg[:, rows], h_hidden[:, rows], z) if recording
+                                        else (z, None, z)))
+        z += zx[:, t]
+        z[0] += w_ci.data * cd
+        z[1] += w_cf.data * cd
+        z[:3] += b_ifc
+        i, f = _sigmoid(z[:2], out=z[:2])
+        cand = np.tanh(z[2], out=z[2])
         c = f * cd
         c += i * cand
-        o = gate(3, _sigmoid, w_co.data * c, b_o.data)
+        z[3] += w_co.data * c
+        z[3] += b_o.data
+        o = _sigmoid(z[3], out=z[3])
         tc = np.tanh(c)
         h = o * tc
         if recording:

@@ -145,7 +145,7 @@ def sequence_loss(model: L.Localizer, windows) -> Tensor:
         raise ValueError("sequence_loss needs at least one window")
     groups = {}
     for w in windows:
-        L.check_observations(model, w.observations, w.topo)
+        L.check_observations(model, w.observations)
         groups.setdefault(w.observations.shape[0], []).append(w)
     total = None
     for steps, group in groups.items():

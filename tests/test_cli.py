@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import topoloc.localizer as L
 import topoloc.navigation as N
 from topoloc.cli import _sample_goal, _sample_start, build_parser, main
 from topoloc.topo_graph import Pose2D, TopoMap
@@ -243,4 +244,28 @@ def test_eval_nav_on_edgeless_map_fails_loudly(pipeline, tmp_path, capsys):
                  "--map", edgeless, "--method", "oracle", "--trials", "2",
                  "--out", str(tmp_path), "--seed", "2"]) == 2
     assert "no node of the map has a goal" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "nav_eval.csv")
+
+
+def test_eval_on_map_of_other_descriptor_width_fails_loudly(pipeline, tmp_path, capsys):
+    narrow = str(tmp_path / "narrow.json")
+    L.Localizer(L.LocalizerConfig(d_obs=8)).save(narrow)
+    common = ["--map", os.path.join(pipeline, "map.json"), "--model", narrow,
+              "--method", "ours", "--out", str(tmp_path), "--seed", "2"]
+    for argv in (["eval-loc", "--data", os.path.join(pipeline, "sim.json")],
+                 ["eval-nav", "--world", os.path.join(pipeline, "world.json"), "--trials", "1"]):
+        assert main(argv + common) == 2
+        err = capsys.readouterr().err
+        assert "d_obs=8" in err and "16-wide descriptors" in err
+    assert os.listdir(tmp_path) == ["narrow.json"]
+
+
+def test_eval_nav_on_map_without_poses_fails_loudly(pipeline, tmp_path, capsys):
+    assert main(["build-map", "--trajectories", os.path.join(pipeline, "mapping.json"),
+                 "--style", "real", "--out", str(tmp_path), "--name", "real_map.json"]) == 0
+    capsys.readouterr()
+    assert main(["eval-nav", "--world", os.path.join(pipeline, "world.json"),
+                 "--map", str(tmp_path / "real_map.json"), "--method", "oracle",
+                 "--trials", "2", "--out", str(tmp_path), "--seed", "2"]) == 2
+    assert "has no poses" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "nav_eval.csv")

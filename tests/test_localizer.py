@@ -2,6 +2,7 @@
 edge-order invariance, and end-to-end gradient checks."""
 
 import json
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -495,3 +496,63 @@ def test_localize_step_rejects_non_finite_observation(bad):
     state = L.reset_state(5, cfg.d_h)
     with pytest.raises(ValueError, match="non-finite"):
         L.localize_step(model, state, obs, topo)
+
+
+# -- map context ----------------------------------------------------------------
+
+
+def test_make_context_rejects_map_of_other_descriptor_width():
+    model = L.Localizer(small_cfg(), seed=60)
+    with pytest.raises(ValueError, match=r"descriptors are 5 wide .* d_obs=4"):
+        L.make_context(model, random_map(4, 5, seed=61))
+    with pytest.raises(ValueError, match="5 wide"):  # any map of a union
+        L.make_context(model, random_map(3, 4, seed=62), random_map(4, 5, seed=61))
+
+
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("steps", [1, 3])
+def test_gclstm_step_with_context_weights_matches_stacking_in_the_cell(steps, record):
+    cfg = small_cfg()
+    model = L.Localizer(cfg, seed=63)
+    rng = np.random.default_rng(64)
+    for g in model.gclstm.gins:  # eps away from 0, so that every layer scales its input
+        g.eps.data = np.array(rng.uniform(-0.5, 0.5))
+    topo = random_map(6, cfg.d_obs, seed=65)
+    ctx = L.make_context(model, topo)
+    x0 = rng.normal(size=(steps * topo.n, cfg.d_x))
+    h0, c0 = rng.normal(size=(2, topo.n, cfg.d_h))
+    wh, wc = rng.normal(size=(steps * topo.n, cfg.d_h)), rng.normal(size=(topo.n, cfg.d_h))
+
+    def run(stacked):
+        for p in model.parameters():
+            p.grad = None
+        x, h, c = Tensor.param(x0), Tensor.param(h0), Tensor.param(c0)
+        with T.no_grad() if not record else nullcontext():
+            out, new = L.gclstm_step(model.gclstm, x, ctx.adj, L.GCLSTMState(h, c), stacked)
+        arrays = [out.data, new.h.data, new.c.data]
+        if record:
+            ((out * Tensor(wh)).sum() + (new.c * Tensor(wc)).sum()).backward()
+            arrays += [t.grad for t in [x, h, c] + L._tensors(model.gclstm)]
+        return arrays
+
+    got, want = run(ctx.gclstm), run(None)
+    assert len(got) == (3 + 3 + 47 if record else 3)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("variant", L.VARIANTS)
+def test_localize_step_with_prebuilt_context_matches_context_per_step(variant):
+    cfg = small_cfg(variant=variant)
+    model = L.Localizer(cfg, seed=68).eval()
+    topo = random_map(7, cfg.d_obs, seed=69)
+    ctx = L.make_context(model, topo)
+    assert (ctx.gclstm is None) == (variant == "no_gclstm")
+    rng = np.random.default_rng(70)
+    prebuilt = fresh = L.reset_state(topo.n, cfg.d_h)
+    for _ in range(4):
+        obs = rng.normal(size=cfg.d_obs)
+        p, pred, prebuilt = L.localize_step(model, prebuilt, obs, topo, ctx)
+        q, qred, fresh = L.localize_step(model, fresh, obs, topo)
+        assert pred == qred and np.array_equal(p.data, q.data)
+        assert np.array_equal(prebuilt.h.data, fresh.h.data)
+        assert np.array_equal(prebuilt.c.data, fresh.c.data)

@@ -3,15 +3,19 @@ subgoal selection, servo behavior, trial outcomes, and metric accounting."""
 
 import itertools
 import math
+import platform
+import sys
 from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import topoloc.localizer as L
 import topoloc.navigation as N
 import topoloc.simworld as W
-from topoloc.evaluation import OracleLocalizer
+import topoloc.trainer as TR
+from topoloc.evaluation import ModelLocalizer, OracleLocalizer
 from topoloc.topo_graph import MapConfig, Pose2D, TopoMap, build_map_sim
 
 
@@ -257,6 +261,84 @@ def test_trials_deterministic():
     assert outs[0].status == outs[1].status
     assert outs[0].log == outs[1].log
     assert all(p == q for p, q in zip(outs[0].visited, outs[1].visited))
+
+
+def test_trial_on_map_without_poses_fails_loudly():
+    w, m, topo = oracle_setup()
+    poseless = TopoMap(topo.descriptors, None, topo.edges, topo.config)
+    with pytest.raises(ValueError, match="poses"):
+        N.run_trial(w, poseless, OracleLocalizer(0.025), m, topo.poses[0],
+                    N.NavConfig(goal_node=3), seed=0)
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_trial_keeps_freed_heap_and_restores_trim_threshold(monkeypatch, fail):
+    calls, seen = [], []
+
+    class Watched(OracleLocalizer):
+        def step(self, observation, gt_pose=None):
+            seen.append(list(calls))
+            if fail and len(seen) == 3:
+                raise RuntimeError("injected mid-run failure")
+            return super().step(observation, gt_pose)
+
+    monkeypatch.setattr(TR, "_mallopt", lambda param, value: calls.append((param, value)))
+    w, m, topo = oracle_setup()
+    cfg = N.NavConfig(goal_node=8, time_limit_steps=10)
+    run = lambda: N.run_trial(w, topo, Watched(0.025), m, topo.poses[2], cfg, seed=5)
+    if fail:
+        with pytest.raises(RuntimeError, match="injected"):
+            run()
+    else:
+        assert run().steps == 10
+    raised = [(TR._M_MMAP_THRESHOLD, 32 << 20), (TR._M_TRIM_THRESHOLD, 256 << 20)]
+    assert len(seen) == (3 if fail else 10) and all(c == raised for c in seen)
+    assert calls == raised + [(TR._M_TRIM_THRESHOLD, 128 << 10)]
+
+
+def corridors_world(corridors):
+    """The benchmark layout extended to `corridors` identical corridors."""
+    base = W.benchmark_spec(seed=0)
+    corridor, junction = base.segments[1], base.segments[0]
+    segments = [W.SegmentSpec("junction_0", junction.length)]
+    for k in range(1, corridors + 1):
+        segments += [W.SegmentSpec(corridor.kind, corridor.length),
+                     W.SegmentSpec(f"junction_{k}", junction.length)]
+    return W.World(W.WorldSpec(segments, half_width=base.half_width, d_obs=base.d_obs,
+                               bumps_per_segment=base.bumps_per_segment, seed=base.seed))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="page faults of glibc's malloc")
+def test_steady_state_model_trial_step_faults_in_fewer_than_5_pages():
+    # nine corridors and a 124-node map: a step's temporaries are about 127 KB each
+    resource = pytest.importorskip("resource")
+    world = corridors_world(9)
+    om = W.ObservationModel.create(world.spec.d_obs, noise_sigma=0.05,
+                                   shift_seed=world.spec.seed + 7, extra_sigma=0.05)
+    poses = W.generate_trajectory(world, 0.0, world.total_length, 0.0, 1)
+    obs = W.render_trajectory(world, poses, om, "sim", 2)
+    topo = build_map_sim(list(zip(obs, poses)), MapConfig())
+    assert topo.n == 124
+    faults = []
+
+    class Counted(ModelLocalizer):
+        def step(self, observation, gt_pose=None):
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+            return super().step(observation, gt_pose)
+
+    loc = Counted(L.Localizer(L.LocalizerConfig(d_obs=world.spec.d_obs), seed=0))
+    cfg = N.NavConfig(goal_node=60, time_limit_steps=60)
+    # glibc's thresholds as any earlier training or evaluation leaves them: fixed,
+    # with the default trim threshold, whatever ran before in this process
+    with TR._heap_kept():
+        pass
+    for _ in range(2):  # a warm-up trial, then the measured one
+        faults.clear()
+        out = N.run_trial(world, topo, loc, om, topo.poses[40], cfg, seed=3)
+    assert out.steps == 60
+    per_step = np.diff(faults)
+    assert np.median(per_step) < 5, per_step
 
 
 # -- metrics -----------------------------------------------------------------
