@@ -6,6 +6,11 @@ only on the segment *kind* and the pose in segment-local coordinates, so
 repeated corridor segments render identical descriptors at corresponding
 poses: aliasing by construction.  A "real_like" domain applies a fixed
 affine shift plus extra noise to emulate a sim-to-real gap.
+
+Rendering is one array pass over all poses of a call (one `exp` over
+poses x bumps, one noise draw consumed in per-pose order), with each
+segment's bump centers computed once per world; `render_observation` is
+its one-pose case, and every value equals that of rendering pose by pose.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .topo_graph import Pose2D, pose_distance, wrap_angle_deg
+from .topo_graph import Pose2D, nearest_node, pose_distance, wrap_angle_deg
 
 NOT_DEVIATED = "not_deviated"
 DEVIATED_LE_1 = "deviated_le_1"
@@ -99,6 +104,13 @@ class World:
         self.f_y = 0.4 * rng.normal(size=spec.d_obs)
         self.f_cos = 0.4 * rng.normal(size=spec.d_obs)
         self.f_sin = 0.4 * rng.normal(size=spec.d_obs)
+        # per segment: its kind's features, bump centers (segment-local) and bump width
+        self._inner_starts = self.starts[1:-1]
+        self._seg_features = [self.features[s.kind] for s in spec.segments]
+        self._bump_centers = np.stack([np.linspace(0.0, s.length, spec.bumps_per_segment)
+                                       for s in spec.segments])
+        self._bump_width = np.array([s.length / spec.bumps_per_segment for s in spec.segments])
+        self._f_pose = np.stack([self.f_y, self.f_cos, self.f_sin])[:, None]
         # obstacles: the two bounding walls, as segments ((x0,y0),(x1,y1))
         w = spec.half_width
         self.obstacles = [
@@ -123,18 +135,28 @@ class World:
 
     def base_descriptor(self, pose: Pose2D):
         """Noise-free descriptor; a smooth function of the segment-local pose."""
-        if not self.contains(pose):
-            raise ValueError(f"pose ({pose.x:.2f}, {pose.y:.2f}) outside world bounds")
-        _, seg, x0 = self.segment_at(pose.x)
-        u = pose.x - x0
-        centers = np.linspace(0.0, seg.length, self.spec.bumps_per_segment)
-        sigma = seg.length / self.spec.bumps_per_segment
-        bumps = np.exp(-((u - centers) / sigma) ** 2)
-        th = math.radians(pose.theta)
-        return (self.features[seg.kind] @ bumps
-                + self.f_y * pose.y
-                + self.f_cos * math.cos(th)
-                + self.f_sin * math.sin(th))
+        return self.base_descriptors([pose])[0]
+
+    def base_descriptors(self, poses):
+        """Noise-free descriptors of a list of poses, one (d_obs,) row each."""
+        for pose in poses:
+            if not self.contains(pose):
+                raise ValueError(f"pose ({pose.x:.2f}, {pose.y:.2f}) outside world bounds")
+        cols = np.array([(p.x, p.y, math.cos(math.radians(p.theta)),
+                          math.sin(math.radians(p.theta))) for p in poses]).reshape(-1, 4).T
+        x = cols[0]
+        seg = self._inner_starts.searchsorted(x, "right")  # segment_at's index
+        u = x - self.starts.take(seg)
+        bumps = np.exp(-((u[:, None] - self._bump_centers.take(seg, axis=0))
+                         / self._bump_width.take(seg)[:, None]) ** 2)
+        out = np.empty((len(poses), self.spec.d_obs))
+        for k, s in enumerate(seg.tolist()):  # one product per pose: a GEMM rounds otherwise
+            np.matmul(self._seg_features[s], bumps[k], out=out[k])
+        y, cos, sin = cols[1:, :, None] * self._f_pose  # the pose-coupling terms
+        out += y
+        out += cos
+        out += sin
+        return out
 
 
 def generate_world(spec: WorldSpec) -> World:
@@ -160,19 +182,32 @@ class ObservationModel:
 def render_observation(world: World, pose: Pose2D, model: ObservationModel,
                        domain="sim", rng=None):
     """Descriptor for a pose; real_like applies the fixed affine domain shift."""
+    return _render(world, [pose], model, domain, rng)[0]
+
+
+def _render(world, poses, model, domain, rng):
+    """Descriptors of poses, (len(poses), d_obs); noise is drawn from `rng` pose by pose.
+
+    A pose takes its sensor noise draw, then (real_like) its extra-noise draw, so
+    the rows equal `render_observation` called on each pose in turn with `rng`.
+    """
     if model.d_obs != world.spec.d_obs:
         raise ValueError("observation model dimension does not match world")
-    desc = world.base_descriptor(pose)
-    if model.noise_sigma > 0 and rng is not None:
-        desc = desc + model.noise_sigma * rng.normal(size=model.d_obs)
+    if domain not in ("sim", "real_like"):
+        raise ValueError(f"unknown domain {domain!r}")
+    desc = world.base_descriptors(poses)
+    noisy = rng is not None and model.noise_sigma > 0
+    extra = rng is not None and domain == "real_like" and model.shift_extra_sigma > 0
+    if noisy or extra:
+        draws = rng.normal(size=(len(poses), noisy + extra, model.d_obs))
+    if noisy:
+        desc += model.noise_sigma * draws[:, 0]
     if domain == "real_like":
         scale = model.shift_scale if model.shift_scale is not None else np.ones(model.d_obs)
         bias = model.shift_bias if model.shift_bias is not None else np.zeros(model.d_obs)
         desc = scale * desc + bias
-        if model.shift_extra_sigma > 0 and rng is not None:
-            desc = desc + model.shift_extra_sigma * rng.normal(size=model.d_obs)
-    elif domain != "sim":
-        raise ValueError(f"unknown domain {domain!r}")
+        if extra:
+            desc += model.shift_extra_sigma * draws[:, -1]
     return desc
 
 
@@ -209,15 +244,15 @@ def generate_trajectory(world: World, start_x, goal_x, deviation_amplitude,
 
 
 def render_trajectory(world, poses, model, domain="sim", seed=0):
-    rng = np.random.default_rng(seed)
-    return np.stack([render_observation(world, p, model, domain, rng) for p in poses])
+    """Descriptors of all poses, (len(poses), d_obs), with noise drawn from `seed`."""
+    return _render(world, poses, model, domain, np.random.default_rng(seed))
 
 
 def classify_deviation(pose: Pose2D, topo, omega_m: float) -> str:
     """Band of the pose metric to the nearest map node."""
     if not topo.has_poses:
         raise ValueError("classify_deviation requires a map with poses")
-    d = min(pose_distance(pose, node_pose, omega_m) for node_pose in topo.poses)
+    d = pose_distance(pose, topo.poses[nearest_node(topo, pose, omega_m)], omega_m)
     if d <= 1e-6:
         return NOT_DEVIATED
     if d <= 1.0:

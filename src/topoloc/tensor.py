@@ -398,9 +398,12 @@ def take_rows(x, index):
     out = Tensor(x.data[index])
     if _recording(x):
         def bwd(g):
-            grad = np.zeros_like(x.data)
-            np.add.at(grad, index, g)
-            x._accum(grad)
+            # bincount adds each element's adjoints from 0 in order of appearance, as
+            # np.add.at does, but without add.at's loop over rows
+            width = int(np.prod(x.data.shape[1:]))
+            cells = np.asarray(index, dtype=np.intp)[:, None] * width + np.arange(width)
+            grad = np.bincount(cells.reshape(-1), g.reshape(-1), minlength=x.data.size)
+            x._accum(grad.reshape(x.data.shape))
         out._record((x,), bwd)
     return out
 

@@ -4,6 +4,13 @@ A map is a directed graph whose nodes carry an observation descriptor and,
 for simulator-style maps, a planar pose.  Distance between poses combines
 Euclidean position with yaw difference weighted by omega_m.
 
+Pose-metric queries against a map (`nearest_nodes`, and the loop closures of
+`build_map_sim`) make one array pass over the nodes' (x, y, theta) rows,
+cached on the map.  `np.hypot` may differ from `math.hypot` in the last bit,
+so `pose_distance` decides between the nodes that lie within a small relative
+slack of a row's minimum or of the threshold: every answer equals that of a
+loop over `pose_distance`.
+
 `TopoMap.bfs` is the one graph search: hop counts and the first-discovery
 parents from a source, over directed edges or over edges in either
 direction.  Each search runs on first request and is cached on the map, so
@@ -20,6 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 UNREACHABLE = -1
+
+# Relative slack within which the array pose metric may differ from
+# pose_distance: np.hypot against math.hypot, then one rounded add.
+_SLACK = 1e-9
+# Metric entries per array pass, which bounds its temporaries on a large map.
+_BLOCK = 1 << 16
 
 
 def wrap_angle_deg(a):
@@ -88,6 +101,8 @@ class TopoMap:
         self.descriptors = np.asarray(descriptors, dtype=np.float64)
         if self.descriptors.ndim != 2:
             raise ValueError("descriptors must be an (n, d) array")
+        if self.descriptors.shape[0] == 0:
+            raise ValueError("a map needs at least one node")
         if not np.all(np.isfinite(self.descriptors)):
             raise ValueError("descriptors contain non-finite values")
         n = self.descriptors.shape[0]
@@ -114,6 +129,7 @@ class TopoMap:
             self._adj[s].add(t)
             self._adj[t].add(s)
         self._searches = {}
+        self._xyt = None
 
     @property
     def n(self):
@@ -126,6 +142,17 @@ class TopoMap:
     def _check_id(self, i):
         if not 0 <= i < self.n:
             raise IndexError(f"node id {i} out of range for map with {self.n} nodes")
+
+    def pose_rows(self):
+        """The node poses as a (3, n) array of x, y and theta rows; built on first request."""
+        if not self.has_poses:
+            raise ValueError("pose queries require a map with poses")
+        if self._xyt is None:
+            xyt = _as_xyt(self.poses)
+            if not np.isfinite(xyt).all():
+                raise ValueError("map poses contain non-finite values")
+            self._xyt = xyt
+        return self._xyt
 
     def neighbors(self, i):
         """Nodes adjacent via any edge touching i, undirected, ascending."""
@@ -190,6 +217,8 @@ class TopoMap:
     @staticmethod
     def from_dict(d):
         nodes = d["nodes"]
+        if not nodes:
+            raise ValueError("map has no nodes")
         descriptors = np.array([nd["descriptor"] for nd in nodes], dtype=np.float64)
         with_pose = sum(1 for nd in nodes if nd["pose"] is not None)
         if 0 < with_pose < len(nodes):
@@ -214,23 +243,33 @@ def build_map_sim(trajectory, cfg: MapConfig) -> TopoMap:
 
     A new node is created when the pose metric from the previously created
     node exceeds alpha_th; loop-closure edges connect the new node to every
-    earlier non-adjacent node within alpha_th of it.
+    earlier non-adjacent node within alpha_th of it.  Edges are listed per
+    node in creation order: its chain edge, then its closures by ascending id.
     """
     if not trajectory:
         raise ValueError("trajectory must be non-empty")
-    descriptors = [np.asarray(trajectory[0][0], dtype=np.float64)]
-    poses = [trajectory[0][1]]
+    taken = [0]
+    for k in range(1, len(trajectory)):
+        if pose_distance(trajectory[k][1], trajectory[taken[-1]][1], cfg.omega_m) > cfg.alpha_th:
+            taken.append(k)
+    descriptors = np.stack([np.asarray(trajectory[k][0], dtype=np.float64) for k in taken])
+    poses = [trajectory[k][1] for k in taken]
+    xyt = _as_xyt(poses)
+    closures = [[] for _ in poses]
+    for first, d in _metric_blocks(xyt, xyt, cfg.omega_m):
+        rows = np.arange(first, first + d.shape[0])[:, None]
+        near = (d <= cfg.alpha_th * (1.0 + _SLACK)) & (np.arange(len(poses)) < rows - 1)
+        for r, j in zip(*np.nonzero(near)):
+            i = first + int(r)
+            if d[r, j] > cfg.alpha_th * (1.0 - _SLACK) and \
+                    pose_distance(poses[i], poses[j], cfg.omega_m) > cfg.alpha_th:
+                continue
+            closures[i].append(int(j))
     edges = []
-    for desc, pose in trajectory[1:]:
-        if pose_distance(pose, poses[-1], cfg.omega_m) > cfg.alpha_th:
-            i = len(poses)
-            descriptors.append(np.asarray(desc, dtype=np.float64))
-            poses.append(pose)
-            edges.append((i - 1, i))
-            for j in range(i - 1):  # loop closure against nodes v_0 .. v_{i-2}
-                if pose_distance(pose, poses[j], cfg.omega_m) <= cfg.alpha_th:
-                    edges.append((i, j))
-    return TopoMap(np.stack(descriptors), poses, edges, cfg)
+    for i in range(1, len(poses)):
+        edges.append((i - 1, i))
+        edges += [(i, j) for j in closures[i]]
+    return TopoMap(descriptors, poses, edges, cfg)
 
 
 def build_map_real(sequence, m_stride: int) -> TopoMap:
@@ -246,11 +285,49 @@ def build_map_real(sequence, m_stride: int) -> TopoMap:
 
 def nearest_node(topo: TopoMap, query: Pose2D, omega_m: float) -> int:
     """NodeId minimizing the pose metric; ties break to the smallest index."""
+    return nearest_nodes(topo, [query], omega_m)[0]
+
+
+def nearest_nodes(topo: TopoMap, queries, omega_m: float) -> list:
+    """`nearest_node` of every query pose, from one array pass over the map's poses."""
     if not topo.has_poses:
         raise ValueError("nearest_node requires a map with poses")
-    best, best_d = 0, math.inf
-    for i, pose in enumerate(topo.poses):
-        d = pose_distance(query, pose, omega_m)
-        if d < best_d:
-            best, best_d = i, d
-    return best
+    if omega_m <= 0:
+        raise ValueError("omega_m must be positive")
+    queries = list(queries)
+    out = []
+    for first, d in _metric_blocks(_as_xyt(queries), topo.pose_rows(), omega_m):
+        # the nodes within the slack of each query's minimum, by query, then by node
+        hits = np.flatnonzero(d <= d.min(axis=1, keepdims=True) * (1.0 + _SLACK))
+        if len(hits) == len(d):  # one per query
+            out += (hits % topo.n).tolist()
+            continue
+        near = [[] for _ in d]
+        for h in hits.tolist():
+            near[h // topo.n].append(h % topo.n)
+        for q, nodes in zip(queries[first:], near):
+            if not nodes:  # a NaN metric is below no minimum
+                raise ValueError(f"query pose {q} is not finite")
+            out.append(nodes[0] if len(nodes) == 1 else
+                       min(nodes, key=lambda i: pose_distance(q, topo.poses[i], omega_m)))
+    return out
+
+
+def _as_xyt(poses):
+    """(3, n) array of the poses' x, y and theta rows."""
+    return np.array([(p.x, p.y, p.theta) for p in poses], dtype=np.float64).reshape(-1, 3).T
+
+
+def _metric_blocks(a, b, omega_m):
+    """Yield (first column, block) of the pose metric from each pose of `a` to all of `b`.
+
+    a and b are `_as_xyt` arrays; a block is (poses of a, poses of b).  The
+    operations are those of `pose_distance`, except that np.hypot may differ from
+    math.hypot in the last bit.
+    """
+    step = max(1, _BLOCK // b.shape[1])
+    for first in range(0, a.shape[1], step):
+        x, y, theta = a[:, first:first + step, None]
+        # |wrap_angle_deg(d)| of d = fmod(.., 360) is |d| or 360 - |d|, whichever is smaller
+        dth = np.abs(np.fmod(theta - b[2], 360.0))
+        yield first, np.hypot(x - b[0], y - b[1]) + omega_m * np.minimum(dth, 360.0 - dth)

@@ -26,7 +26,7 @@ import numpy as np
 from . import localizer as L
 from .map_sampler import sample_submap
 from .tensor import Adam, Segments, Tensor, cross_entropy, no_grad
-from .topo_graph import MapConfig, TopoMap, build_map_real, nearest_node
+from .topo_graph import MapConfig, TopoMap, build_map_real, nearest_nodes
 
 SIM = "sim"
 REAL_LIKE = "real_like"
@@ -86,7 +86,7 @@ def make_sim_sample(trajectory, topo: TopoMap, cfg: MapConfig) -> Sample:
         raise ValueError("simulator samples need a map with poses")
     observations = np.stack([np.asarray(d, dtype=np.float64) for d, _ in trajectory])
     poses = [p for _, p in trajectory]
-    targets = [nearest_node(topo, p, cfg.omega_m) for p in poses]
+    targets = nearest_nodes(topo, poses, cfg.omega_m)
     return Sample(observations, poses, topo, targets, SIM)
 
 

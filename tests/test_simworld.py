@@ -1,6 +1,8 @@
 """Synthetic world tests: determinism, aliasing by construction, domain
 shift, trajectory safety, and deviation bands."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -93,6 +95,59 @@ def test_render_rejects_out_of_bounds_and_bad_domain():
         W.render_observation(w, Pose2D(1.0, 5.0, 0.0), m, "sim")
     with pytest.raises(ValueError):
         W.render_observation(w, Pose2D(1.0, 0.0, 0.0), m, "dreamworld")
+
+
+def render_pose(world, pose, model, domain="sim", rng=None):
+    """One pose rendered with scalar segment lookup and its own linspace: the reference."""
+    if not world.contains(pose):
+        raise ValueError("outside world bounds")
+    _, seg, x0 = world.segment_at(pose.x)
+    centers = np.linspace(0.0, seg.length, world.spec.bumps_per_segment)
+    bumps = np.exp(-((pose.x - x0 - centers) / (seg.length / world.spec.bumps_per_segment)) ** 2)
+    th = math.radians(pose.theta)
+    desc = (world.features[seg.kind] @ bumps + world.f_y * pose.y
+            + world.f_cos * math.cos(th) + world.f_sin * math.sin(th))
+    if model.noise_sigma > 0 and rng is not None:
+        desc = desc + model.noise_sigma * rng.normal(size=model.d_obs)
+    if domain == "real_like":
+        scale = model.shift_scale if model.shift_scale is not None else np.ones(model.d_obs)
+        bias = model.shift_bias if model.shift_bias is not None else np.zeros(model.d_obs)
+        desc = scale * desc + bias
+        if model.shift_extra_sigma > 0 and rng is not None:
+            desc = desc + model.shift_extra_sigma * rng.normal(size=model.d_obs)
+    return desc
+
+
+def render_loop(world, poses, model, domain, seed):
+    """render_trajectory as a loop over poses: the array pass's reference."""
+    rng = np.random.default_rng(seed)
+    return np.stack([render_pose(world, p, model, domain, rng) for p in poses]), rng
+
+
+def render_cases():
+    w = world()
+    poses = W.generate_trajectory(w, 0.0, w.total_length, 1.2, seed=4, step=0.37)
+    poses += [Pose2D(x, y, t) for x in (0.0, 5.0, 20.0, 25.0, w.total_length)
+              for y, t in ((0.0, 180.0), (-1.5, -179.9), (1.5, 90.0))]  # segment ends, walls
+    for domain in ("sim", "real_like"):
+        for noise in (0.0, 0.05):
+            for extra in (0.0, 0.05):
+                yield w, poses, W.ObservationModel.create(16, noise, shift_seed=3, extra_sigma=extra), domain
+    yield w, poses, W.ObservationModel(16, 0.05), "real_like"  # no affine shift set
+
+
+@pytest.mark.parametrize("w,poses,model,domain", list(render_cases()))
+def test_render_matches_per_pose_loop(w, poses, model, domain):
+    want, want_rng = render_loop(w, poses, model, domain, seed=9)
+    assert np.array_equal(W.render_trajectory(w, poses, model, domain, seed=9), want)
+    rng = np.random.default_rng(9)
+    got = np.stack([W.render_observation(w, p, model, domain, rng) for p in poses])
+    assert np.array_equal(got, want)
+    assert rng.random() == want_rng.random()  # the generator is consumed alike
+    for p in poses[::7]:
+        assert np.array_equal(W.render_observation(w, p, model, domain),
+                              render_pose(w, p, model, domain))
+        assert np.array_equal(w.base_descriptor(p), render_pose(w, p, W.ObservationModel(16)))
 
 
 def test_descriptor_smooth_in_pose():

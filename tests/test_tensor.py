@@ -525,6 +525,25 @@ def test_unrolled_gclstm_matches_steps_run_one_at_a_time(n, steps):
     assert max(grad_check(loss, p).values()) < 1e-6
 
 
+@pytest.mark.parametrize("index", [
+    [0, 0, 1, 1, 1, 3, 5, 5],     # sorted, repeated, rows 2 and 4 untaken
+    [4, 1, 4, 0, 1, 4, 2],        # unsorted, repeated, row 3 untaken
+    [3, 2, 1, 0, 5, 4],           # a permutation
+    [2],
+    [],
+])
+def test_take_rows_adjoint_sums_like_add_at(index):
+    rng = np.random.default_rng(98)
+    index = np.array(index, dtype=np.intp)
+    x = Tensor.param(rng.normal(size=(6, 5)), name="x")
+    w = rng.normal(size=(len(index), 5)) * 1e3 ** rng.integers(-3, 4, size=(len(index), 1))
+    w[::3, 0] = -0.0  # an element whose adjoints are all -0.0 reads +0.0 after np.add.at
+    (take_rows(x, index) * Tensor.const(w)).sum().backward()
+    want = np.zeros((6, 5))
+    np.add.at(want, index, w)
+    assert x.grad.tobytes() == want.tobytes()
+
+
 def test_take_rows_and_last_state_row_blocks_match_finite_differences():
     rng = np.random.default_rng(96)
     x = Tensor.param(rng.normal(size=(4, 3)), name="x")

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import topoloc.topo_graph as G
 from topoloc.topo_graph import (MapConfig, Pose2D, TopoMap, UNREACHABLE,
                                 build_map_real, build_map_sim, nearest_node,
-                                pose_distance, wrap_angle_deg)
+                                nearest_nodes, pose_distance, wrap_angle_deg)
 
 OMEGA = 0.025
 
@@ -145,6 +145,79 @@ def test_build_map_sim_matches_stepwise_oracle(seed):
     assert sorted(m.edges) == sorted(chain + closures)
 
 
+def build_map_sim_loop(trajectory, cfg):
+    """build_map_sim as a scalar loop over pose_distance: the array pass's reference."""
+    descriptors = [np.asarray(trajectory[0][0], dtype=np.float64)]
+    poses = [trajectory[0][1]]
+    edges = []
+    for desc, p in trajectory[1:]:
+        if pose_distance(p, poses[-1], cfg.omega_m) > cfg.alpha_th:
+            i = len(poses)
+            descriptors.append(np.asarray(desc, dtype=np.float64))
+            poses.append(p)
+            edges.append((i - 1, i))
+            for j in range(i - 1):
+                if pose_distance(p, poses[j], cfg.omega_m) <= cfg.alpha_th:
+                    edges.append((i, j))
+    return np.stack(descriptors), poses, edges
+
+
+def assert_same_map(m, trajectory, cfg):
+    descriptors, poses, edges = build_map_sim_loop(trajectory, cfg)
+    assert np.array_equal(m.descriptors, descriptors)
+    assert m.poses == poses
+    assert m.edges == edges  # the order of the list too
+
+
+def revisiting_trajectory(rng, n):
+    """A random walk on a 0.5 m grid with 90-degree headings, so it comes back to
+    earlier poses and many metric values are exact (ties, closures at alpha_th)."""
+    x, y, out = 0.0, 0.0, []
+    for _ in range(n):
+        x += 0.5 * int(rng.integers(-2, 4))
+        y += 0.5 * int(rng.integers(-2, 3))
+        out.append((rand_desc(rng), Pose2D(x, y, 90.0 * int(rng.integers(-2, 3)))))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_build_map_sim_matches_scalar_loop_in_order(seed):
+    rng = np.random.default_rng(seed)
+    traj = revisiting_trajectory(rng, int(rng.integers(2, 80)))
+    for cfg in (MapConfig(alpha_th=1.0), MapConfig(omega_m=1 / 180, alpha_th=1.5)):
+        assert_same_map(build_map_sim(traj, cfg), traj, cfg)
+
+
+def test_build_map_sim_closes_loops_at_exactly_alpha_th():
+    rng = np.random.default_rng(6)
+    # out along y = 0 and back along y = 1, shifted by 0.75: hypot(0.75, 1.0) is 1.25
+    pts = [(2.0 * k, 0.0) for k in range(5)] + [(2.0 * k + 0.75, 1.0) for k in range(4, -1, -1)]
+    traj = [(rand_desc(rng), Pose2D(x, y, 0.0)) for x, y in pts]
+    cfg = MapConfig(alpha_th=1.25)
+    m = build_map_sim(traj, cfg)
+    assert pose_distance(m.poses[5], m.poses[3], cfg.omega_m) == cfg.alpha_th
+    assert [e for e in m.edges if e[0] > e[1] + 1] == [(5, 3), (6, 2), (7, 1), (8, 0)]
+    assert_same_map(m, traj, cfg)
+
+
+# (dx, dy) whose math.hypot is 1.5760916885129097 and 0.986504552812741, and
+# whose np.hypot (the C library's hypot; glibc, numpy 2.4) is one ulp less and
+# one ulp more; where the two agree, these tests hold all the same
+ULP_OFFSETS = [((1.363786241097085, 0.7900329734851314), 1.5760916885129097, 1.5760916885129095),
+               ((0.6412465569010316, 0.7496626481176971), 0.986504552812741, 0.9865045528127411)]
+
+
+@pytest.mark.parametrize("offset,exact,other", ULP_OFFSETS)
+def test_build_map_sim_decides_closures_with_pose_distance(offset, exact, other):
+    rng = np.random.default_rng(7)
+    traj = [(rand_desc(rng), Pose2D(x, y, 0.0)) for x, y in [(0.0, 0.0), (10.0, 10.0), offset]]
+    assert pose_distance(traj[2][1], traj[0][1], OMEGA) == exact
+    for alpha, closes in ((exact, True), (other, other > exact)):
+        m = build_map_sim(traj, MapConfig(alpha_th=alpha))
+        assert ((2, 0) in m.edges) == closes
+        assert_same_map(m, traj, MapConfig(alpha_th=alpha))
+
+
 def test_build_map_sim_single_node_when_within_threshold():
     rng = np.random.default_rng(3)
     traj = [(rand_desc(rng), pose(x)) for x in np.linspace(0, 0.9, 10)]
@@ -211,6 +284,83 @@ def test_nearest_node_exact_hit():
 
 def test_nearest_node_tie_breaks_low():
     assert nearest_node(two_node_map(), pose(0.5), OMEGA) == 0
+
+
+def nearest_node_loop(topo, query, omega_m):
+    """nearest_node as a scalar loop over pose_distance: the array pass's reference."""
+    best, best_d = 0, math.inf
+    for i, p in enumerate(topo.poses):
+        d = pose_distance(query, p, omega_m)
+        if d < best_d:
+            best, best_d = i, d
+    return best
+
+
+def posed_map(node_poses):
+    n = len(node_poses)
+    return TopoMap(np.zeros((n, 2)), node_poses, [(i, i + 1) for i in range(n - 1)])
+
+
+def assert_nearest_matches_loop(topo, queries, omega_m=OMEGA):
+    want = [nearest_node_loop(topo, q, omega_m) for q in queries]
+    assert nearest_nodes(topo, queries, omega_m) == want
+    assert [nearest_node(topo, q, omega_m) for q in queries] == want
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_nearest_nodes_match_scalar_loop_with_exact_ties(seed):
+    rng = np.random.default_rng(seed)
+    grid = lambda k: [Pose2D(0.5 * int(a), 0.5 * int(b), 45.0 * int(t))
+                      for a, b, t in rng.integers(-6, 7, size=(k, 3))]
+    nodes = grid(int(rng.integers(1, 30)))
+    nodes += [Pose2D(p.x, p.y, p.theta) for p in nodes[::3]]  # duplicate poses
+    topo = posed_map(nodes)
+    mids = [Pose2D((a.x + b.x) / 2, (a.y + b.y) / 2, a.theta)
+            for a, b in zip(nodes, nodes[1:]) if a.theta == b.theta]
+    real = [Pose2D(*rng.uniform(-4, 4, size=2), rng.uniform(-180, 180)) for _ in range(10)]
+    assert_nearest_matches_loop(topo, nodes + mids + grid(40) + real)
+    assert_nearest_matches_loop(topo, nodes + mids, omega_m=1 / 90)
+
+
+@pytest.mark.parametrize("offset,exact,other", ULP_OFFSETS)
+def test_nearest_node_breaks_ulp_ties_with_pose_distance(offset, exact, other):
+    # node 0 lies straight ahead at exactly the other node's pose_distance
+    for nodes in ([Pose2D(exact, 0.0, 0.0), Pose2D(*offset, 0.0)],
+                  [Pose2D(*offset, 0.0), Pose2D(exact, 0.0, 0.0)]):
+        assert nearest_node(posed_map(nodes), pose(0), OMEGA) == 0
+        assert_nearest_matches_loop(posed_map(nodes), [pose(0)])
+
+
+def test_nearest_nodes_match_scalar_loop_across_plus_minus_180_degrees():
+    thetas = [180.0, -179.0, 179.0, 179.999, -179.999, 0.5, -0.5, 90.0, -90.0]
+    nodes = [Pose2D(0.0, 0.0, t) for t in thetas] + [Pose2D(0.1, 0.0, t) for t in thetas]
+    topo = posed_map(nodes)
+    queries = [Pose2D(x, 0.0, t) for x in (0.0, 0.05, 0.1)
+               for t in (-180.0, 180.0, -179.5, 179.5, 1e-9, -1e-9, 359.0, -540.0)]
+    assert_nearest_matches_loop(topo, queries)
+    queries[0].theta = 540.0  # not normalized: the metric still wraps the difference
+    topo.poses[1].theta = -900.0
+    assert_nearest_matches_loop(posed_map(topo.poses), queries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(poses, min_size=1, max_size=12), st.lists(poses, max_size=8))
+def test_nearest_nodes_match_scalar_loop_on_random_poses(node_poses, queries):
+    assert_nearest_matches_loop(posed_map(node_poses), queries)
+
+
+def test_nearest_node_rejects_non_finite_poses():
+    with pytest.raises(ValueError, match="not finite"):
+        nearest_node(two_node_map(), Pose2D(math.nan, 0.0, 0.0), OMEGA)
+    with pytest.raises(ValueError, match="non-finite"):
+        nearest_node(posed_map([pose(0), pose(math.nan)]), pose(0), OMEGA)
+
+
+def test_map_without_nodes_rejected():
+    with pytest.raises(ValueError, match="at least one node"):
+        TopoMap(np.zeros((0, 16)), [], [])
+    with pytest.raises(ValueError, match="no nodes"):
+        TopoMap.from_dict({"nodes": [], "edges": [], "config": None})
 
 
 def test_nearest_node_requires_poses():
