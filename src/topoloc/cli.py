@@ -20,6 +20,7 @@ from . import localizer as L
 from . import navigation as N
 from . import simworld as W
 from . import trainer as TR
+from .tensor import memory_scope
 from .topo_graph import MapConfig, Pose2D, TopoMap, build_map_real, build_map_sim
 
 METHODS = ("ours", "no_gclstm", "no_skip", "nearest", "oracle")
@@ -173,20 +174,20 @@ def cmd_train(args):
     tc = _config(args, TR.TrainConfig(seed=args.seed).to_dict(), TR.TrainConfig.from_dict)
     topo = load_map(args.map)
     mc = topo.config or MapConfig()
-    _, sim_trajs = load_trajectories(args.sim_data)
-    sim_set = build_samples(topo, sim_trajs, mc)
-    real_set = []
-    if args.real_data:
-        _, real_trajs = load_trajectories(args.real_data)
-        real_set = [TR.make_real_like_sample(obs, mc.m_stride) for _, obs in real_trajs]
-    _, val_trajs = load_trajectories(args.val_data)
-    val_set = [TR.window(s, 0, min(tc.tau, s.observations.shape[0] - 1))
-               for s in build_samples(topo, val_trajs, mc)]
-    d_obs = topo.descriptors.shape[1]
-    variant = "full" if args.method == "ours" else args.method  # or an ablation's name
-    cfg = L.LocalizerConfig(d_obs=d_obs, variant=variant)
-    model = L.Localizer(cfg, seed=args.seed)
-    history = TR.train(model, sim_set, real_set, val_set, tc)
+    with memory_scope():  # one scope for building the samples and training
+        _, sim_trajs = load_trajectories(args.sim_data)
+        sim_set = build_samples(topo, sim_trajs, mc)
+        real_set = []
+        if args.real_data:
+            _, real_trajs = load_trajectories(args.real_data)
+            real_set = [TR.make_real_like_sample(obs, mc.m_stride) for _, obs in real_trajs]
+        _, val_trajs = load_trajectories(args.val_data)
+        val_set = [TR.window(s, 0, min(tc.tau, s.observations.shape[0] - 1))
+                   for s in build_samples(topo, val_trajs, mc)]
+        d_obs = topo.descriptors.shape[1]
+        variant = "full" if args.method == "ours" else args.method  # or an ablation's name
+        model = L.Localizer(L.LocalizerConfig(d_obs=d_obs, variant=variant), seed=args.seed)
+        history = TR.train(model, sim_set, real_set, val_set, tc)
     os.makedirs(args.out, exist_ok=True)
     ck = os.path.join(args.out, f"checkpoint_{args.method}.json")
     model.save(ck)
@@ -215,18 +216,16 @@ def cmd_eval_loc(args):
     domain, trajs = load_trajectories(args.data)
     loc = make_localizer(args, topo)
     rows = []
-    if domain == "real_like":
-        for _, obs in trajs:
-            sample = TR.make_real_like_sample(obs, mc.m_stride)
-            rows.append(E.eval_run(loc, sample.observations, sample.topo,
-                                   sample.targets, None, mc.omega_m,
-                                   method=args.method, category="real_like"))
-    else:
+    with memory_scope():  # one scope for all runs: the heap is kept between them
         for poses, obs in trajs:
-            sample = TR.make_sim_sample(list(zip(obs, poses)), topo, mc)
-            rows.append(E.eval_run(loc, obs, topo, sample.targets, poses,
-                                   mc.omega_m, method=args.method,
-                                   category=args.category))
+            if domain == "real_like":  # on a map of its own, without poses
+                sample = TR.make_real_like_sample(obs, mc.m_stride)
+            else:
+                sample = TR.make_sim_sample(list(zip(obs, poses)), topo, mc)
+            rows.append(E.eval_run(loc, sample.observations, sample.topo, sample.targets,
+                                   sample.poses, mc.omega_m, method=args.method,
+                                   category="real_like" if domain == "real_like"
+                                   else args.category))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, args.name)
     meta = f"config_hash={config_hash(_args_dict(args))} seed={args.seed}"
@@ -245,18 +244,19 @@ def cmd_eval_nav(args):
     loc = make_localizer(args, topo)
     rng = np.random.default_rng(args.seed)
     outcomes = []
-    for _ in range(args.trials):
-        tseed = int(rng.integers(2 ** 31))
-        trng = np.random.default_rng(tseed)
-        start_node = _sample_start(topo, trng)
-        sp = topo.poses[start_node]
-        start = Pose2D(sp.x, min(max(sp.y + trng.uniform(-0.3, 0.3),
-                                     -world.spec.half_width + 0.2),
-                                 world.spec.half_width - 0.2), sp.theta)
-        goal = _sample_goal(topo, start_node, trng)
-        cfg = N.NavConfig(goal_node=goal, omega_m=mc.omega_m,
-                          time_limit_steps=args.time_limit)
-        outcomes.append(N.run_trial(world, topo, loc, obs_model, start, cfg, tseed))
+    with memory_scope():  # one scope for all trials: the heap is kept between them
+        for _ in range(args.trials):
+            tseed = int(rng.integers(2 ** 31))
+            trng = np.random.default_rng(tseed)
+            start_node = _sample_start(topo, trng)
+            sp = topo.poses[start_node]
+            start = Pose2D(sp.x, min(max(sp.y + trng.uniform(-0.3, 0.3),
+                                         -world.spec.half_width + 0.2),
+                                     world.spec.half_width - 0.2), sp.theta)
+            goal = _sample_goal(topo, start_node, trng)
+            cfg = N.NavConfig(goal_node=goal, omega_m=mc.omega_m,
+                              time_limit_steps=args.time_limit)
+            outcomes.append(N.run_trial(world, topo, loc, obs_model, start, cfg, tseed))
     sr, cr, tr, cov = N.nav_metrics(outcomes)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, args.name)

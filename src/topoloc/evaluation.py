@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import localizer as L
+from .tensor import memory_scope
 from .topo_graph import TopoMap, UNREACHABLE, nearest_node, pose_distance
-from .trainer import _heap_kept
 
 
 @dataclass
@@ -90,7 +90,7 @@ def eval_run(localizer, observations, topo: TopoMap, targets, poses=None,
         raise ValueError("eval_run needs a non-empty trajectory")
     localizer.start(topo)
     preds = []
-    with _heap_kept():  # a step frees what the next allocates again
+    with memory_scope():  # a step frees what the next allocates again
         for t in range(observations.shape[0]):
             gt_pose = poses[t] if poses is not None else None
             preds.append(localizer.step(observations[t], gt_pose))

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .simworld import World, render_observation, segment_intersects
+from .tensor import memory_scope
 from .topo_graph import UNREACHABLE, Pose2D, TopoMap, nearest_node, wrap_angle_deg
-from .trainer import _heap_kept
 
 SUCCESS = "success"
 COLLISION = "collision"
@@ -128,7 +128,7 @@ def run_trial(world: World, topo: TopoMap, localizer, obs_model, start: Pose2D,
     nominal = _plan_or_goal(topo, start_node, cfg.goal_node)
     gains = ControlGains()
     status = TIMEOUT
-    with _heap_kept():  # a step frees what the next allocates again
+    with memory_scope():  # a step frees what the next allocates again
         for step in range(cfg.time_limit_steps):
             if math.hypot(pose.x - goal_pose.x, pose.y - goal_pose.y) <= ARRIVAL_RADIUS:
                 status = SUCCESS

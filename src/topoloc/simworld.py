@@ -8,16 +8,19 @@ poses: aliasing by construction.  A "real_like" domain applies a fixed
 affine shift plus extra noise to emulate a sim-to-real gap.
 
 Rendering is one array pass over all poses of a call (one `exp` over
-poses x bumps, one noise draw consumed in per-pose order), with each
-segment's bump centers computed once per world; `render_observation` is
+poses x bumps, one batched product of each pose's segment features with its
+bumps, one noise draw consumed in per-pose order), with each segment's
+features and bump centers stacked once per world; `render_observation` is
 its one-pose case, and every value equals that of rendering pose by pose.
+Trajectories are array passes over their steps in a per-step loop's order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,22 +100,22 @@ class World:
         self.starts = np.concatenate([[0.0], np.cumsum([s.length for s in spec.segments])])
         self.total_length = float(self.starts[-1])
         rng = np.random.default_rng(spec.seed)
-        self.features = {}  # kind -> (d_obs, bumps) feature matrix
-        for kind in sorted(lengths):
-            self.features[kind] = rng.normal(size=(spec.d_obs, spec.bumps_per_segment))
+        self.features = {kind: rng.normal(size=(spec.d_obs, spec.bumps_per_segment))
+                         for kind in sorted(lengths)}  # kind -> (d_obs, bumps) features
         # pose-coupling directions, shared across kinds (segment-local, so aliasing-safe)
         self.f_y = 0.4 * rng.normal(size=spec.d_obs)
         self.f_cos = 0.4 * rng.normal(size=spec.d_obs)
         self.f_sin = 0.4 * rng.normal(size=spec.d_obs)
         # per segment: its kind's features, bump centers (segment-local) and bump width
         self._inner_starts = self.starts[1:-1]
-        self._seg_features = [self.features[s.kind] for s in spec.segments]
-        self._bump_centers = np.stack([np.linspace(0.0, s.length, spec.bumps_per_segment)
-                                       for s in spec.segments])
+        self._seg_features = np.stack([self.features[s.kind] for s in spec.segments])
+        centers = {n: np.linspace(0.0, n, spec.bumps_per_segment) for n in set(lengths.values())}
+        self._bump_centers = np.stack([centers[s.length] for s in spec.segments])
         self._bump_width = np.array([s.length / spec.bumps_per_segment for s in spec.segments])
         self._f_pose = np.stack([self.f_y, self.f_cos, self.f_sin])[:, None]
         # obstacles: the two bounding walls, as segments ((x0,y0),(x1,y1))
         w = spec.half_width
+        self._bounds = np.array([[0.0, -w], [self.total_length, w]])[:, :, None]  # x, y
         self.obstacles = [
             ((0.0, -w), (self.total_length, -w)),
             ((0.0, w), (self.total_length, w)),
@@ -120,10 +123,7 @@ class World:
 
     @property
     def repetition_count(self):
-        counts = {}
-        for s in self.spec.segments:
-            counts[s.kind] = counts.get(s.kind, 0) + 1
-        return max(counts.values())
+        return max(Counter(s.kind for s in self.spec.segments).values())
 
     def contains(self, pose: Pose2D):
         return 0.0 <= pose.x <= self.total_length and abs(pose.y) <= self.spec.half_width
@@ -139,23 +139,22 @@ class World:
 
     def base_descriptors(self, poses):
         """Noise-free descriptors of a list of poses, one (d_obs,) row each."""
-        for pose in poses:
-            if not self.contains(pose):
-                raise ValueError(f"pose ({pose.x:.2f}, {pose.y:.2f}) outside world bounds")
-        cols = np.array([(p.x, p.y, math.cos(math.radians(p.theta)),
-                          math.sin(math.radians(p.theta))) for p in poses]).reshape(-1, 4).T
+        rad = [math.radians(p.theta) for p in poses]
+        cols = np.array([[p.x for p in poses], [p.y for p in poses],
+                         list(map(math.cos, rad)), list(map(math.sin, rad))])
+        inside = (self._bounds[0] <= cols[:2]) & (cols[:2] <= self._bounds[1])  # `contains`
+        if not inside.all():
+            pose = poses[int(inside.all(axis=0).argmin())]
+            raise ValueError(f"pose ({pose.x:.2f}, {pose.y:.2f}) outside world bounds")
         x = cols[0]
         seg = self._inner_starts.searchsorted(x, "right")  # segment_at's index
         u = x - self.starts.take(seg)
         bumps = np.exp(-((u[:, None] - self._bump_centers.take(seg, axis=0))
                          / self._bump_width.take(seg)[:, None]) ** 2)
-        out = np.empty((len(poses), self.spec.d_obs))
-        for k, s in enumerate(seg.tolist()):  # one product per pose: a GEMM rounds otherwise
-            np.matmul(self._seg_features[s], bumps[k], out=out[k])
-        y, cos, sin = cols[1:, :, None] * self._f_pose  # the pose-coupling terms
-        out += y
-        out += cos
-        out += sin
+        # one (d_obs, bumps) @ (bumps, 1) product per pose, as a pose alone computes it
+        out = np.matmul(self._seg_features.take(seg, axis=0), bumps[:, :, None])[:, :, 0]
+        for term in cols[1:, :, None] * self._f_pose:  # the y, cos and sin coupling terms
+            out += term
         return out
 
 
@@ -219,8 +218,7 @@ def generate_trajectory(world: World, start_x, goal_x, deviation_amplitude,
     random sign), heading wiggle scales with the amplitude; the result is
     clamped inside the walls and therefore collision-free by construction.
     """
-    margin = 0.05
-    if abs(start_x) > world.total_length or not 0 <= start_x <= world.total_length:
+    if not 0 <= start_x <= world.total_length:
         raise ValueError("start outside free space")
     goal_x = min(max(goal_x, 0.0), world.total_length)
     rng = np.random.default_rng(seed)
@@ -232,15 +230,14 @@ def generate_trajectory(world: World, start_x, goal_x, deviation_amplitude,
     period = rng.uniform(8.0, 16.0)
     phase = rng.uniform(0, 2 * math.pi)
     phase2 = rng.uniform(0, 2 * math.pi)
-    poses = []
-    for k in range(count + 1):
-        x = start_x + direction * min(k * step, span)
-        profile = 0.85 + 0.15 * math.sin(2 * math.pi * x / period + phase)
-        y = sign * deviation_amplitude * profile
-        y = min(max(y, -(world.spec.half_width - margin)), world.spec.half_width - margin)
-        dth = 2.0 * deviation_amplitude * math.sin(2 * math.pi * x / period + phase2)
-        poses.append(Pose2D(x, y, heading + dth))
-    return poses
+    # every step at once, each expression in the order of the per-step formula
+    x = start_x + direction * np.minimum(np.arange(count + 1) * step, span)
+    arg = 2 * math.pi * x / period
+    profile = 0.85 + 0.15 * np.array(list(map(math.sin, (arg + phase).tolist())))
+    wall = world.spec.half_width - 0.05  # a margin off the walls
+    y = np.minimum(np.maximum(sign * deviation_amplitude * profile, -wall), wall)
+    dth = 2.0 * deviation_amplitude * np.array(list(map(math.sin, (arg + phase2).tolist())))
+    return list(map(Pose2D, x.tolist(), y.tolist(), (heading + dth).tolist()))
 
 
 def render_trajectory(world, poses, model, domain="sim", seed=0):

@@ -33,6 +33,8 @@ block, so the graphs of a batch never share statistics.
 
 from __future__ import annotations
 
+import ctypes
+import gc
 import heapq
 import itertools
 import json
@@ -56,6 +58,44 @@ def no_grad():
         _grad_enabled = previous
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # malloc.h
+_memory_scopes = 0  # how many memory_scope blocks are open
+
+
+def _mallopt(param, value):
+    """The C library's ``mallopt(param, value)``; does nothing where it has none."""
+    try:
+        return ctypes.CDLL(None).mallopt(param, value)
+    except (AttributeError, OSError, TypeError):
+        return 0
+
+
+@contextmanager
+def memory_scope():
+    """Pause the cyclic collector and keep freed heap; nested scopes do nothing.
+
+    Graphs hold no cycles, and a step frees what the next allocates again, so
+    glibc's mmap and trim thresholds are raised.  The outermost exit, also on an
+    exception, restores the collector and the 128 KiB trim threshold; the mmap
+    threshold stays, since glibc stops adapting it once it is set.
+    """
+    global _memory_scopes
+    _memory_scopes += 1
+    if _memory_scopes == 1:
+        collecting = gc.isenabled()
+        gc.disable()
+        _mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        _mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    try:
+        yield
+    finally:
+        _memory_scopes -= 1
+        if not _memory_scopes:
+            _mallopt(_M_TRIM_THRESHOLD, 128 << 10)
+            if collecting:
+                gc.enable()
+
+
 def _recording(*inputs):
     """Whether an op over `inputs` must record its parents and backward closure."""
     if _grad_enabled:
@@ -66,7 +106,7 @@ def _recording(*inputs):
 
 
 def _sigmoid(z, out):
-    """``1 / (1 + exp(-z))`` into the array `out`, which may be `z`."""
+    """``1 / (1 + exp(-z))`` into `out` (may be `z`); exp(-z) is inf, harmlessly, below -709."""
     np.exp(np.negative(z, out=out), out=out)
     out += 1.0
     return np.divide(1.0, out, out=out)
@@ -262,7 +302,8 @@ class Tensor:
         return out
 
     def sigmoid(self):
-        out = Tensor(_sigmoid(self.data, np.empty_like(self.data)))
+        with np.errstate(over="ignore"):  # see _sigmoid
+            out = Tensor(_sigmoid(self.data, np.empty_like(self.data)))
         if _recording(self):
             s = out.data
             out._record((self,), lambda g: self._accum(g * s * (1.0 - s)))
@@ -494,33 +535,34 @@ def gclstm_cell(x, h0, c0, adj, gins, w_ci, w_cf, w_co, b_i, b_f, b_c, b_o, stac
     if recording:  # each step's agg and hidden rows of the h-side layers
         h_agg, h_hidden = np.empty((4, steps * n, d)), np.empty((4, steps * n, hw[1].shape[2]))
         h_saved = list(zip(h_agg, h_hidden))
-    for t in range(steps):
-        rows = slice(t * n, (t + 1) * n)
-        # the pre-activations of i, f, the candidate and o, summed in place in the
-        # order of the equations (the GIN terms commute); without a graph to record,
-        # the h-side layers' output overwrites their sums, no longer needed by then
-        z = np.empty((4, n, d))
-        _gin_forward(hd, ad @ hd, *hw, *((h_agg[:, rows], h_hidden[:, rows], z) if recording
-                                        else (z, None, z)))
-        z += zx[:, t]
-        z[0] += w_ci.data * cd
-        z[1] += w_cf.data * cd
-        z[:3] += b_ifc
-        i, f = _sigmoid(z[:2], out=z[:2])
-        cand = np.tanh(z[2], out=z[2])
-        c = f * cd
-        c += i * cand
-        z[3] += w_co.data * c
-        z[3] += b_o.data
-        o = _sigmoid(z[3], out=z[3])
-        tc = np.tanh(c)
-        h = o * tc
-        if recording:
-            gates.append((i, f, cand, o, tc))
-        if out is not None:
-            out[(t + 1) * n:(t + 2) * n, :d] = h
-            out[(t + 1) * n:(t + 2) * n, d:] = c
-        hd, cd = h, c
+    with np.errstate(over="ignore"):  # see _sigmoid; one state for all steps
+        for t in range(steps):
+            rows = slice(t * n, (t + 1) * n)
+            # the pre-activations of i, f, the candidate and o, summed in place in the
+            # order of the equations (the GIN terms commute); without a graph to record,
+            # the h-side layers' output overwrites their sums, no longer needed by then
+            z = np.empty((4, n, d))
+            _gin_forward(hd, ad @ hd, *hw, *((h_agg[:, rows], h_hidden[:, rows], z) if recording
+                                            else (z, None, z)))
+            z += zx[:, t]
+            z[0] += w_ci.data * cd
+            z[1] += w_cf.data * cd
+            z[:3] += b_ifc
+            i, f = _sigmoid(z[:2], out=z[:2])
+            cand = np.tanh(z[2], out=z[2])
+            c = f * cd
+            c += i * cand
+            z[3] += w_co.data * c
+            z[3] += b_o.data
+            o = _sigmoid(z[3], out=z[3])
+            tc = np.tanh(c)
+            h = o * tc
+            if recording:
+                gates.append((i, f, cand, o, tc))
+            if out is not None:
+                out[(t + 1) * n:(t + 2) * n, :d] = h
+                out[(t + 1) * n:(t + 2) * n, d:] = c
+            hd, cd = h, c
     if not recording:  # the blocks, without copying them
         h, c = Tensor(h), Tensor(c)
         return (h, c, h, c) if out is None else (Tensor(out[n:, :d]), Tensor(out[n:, d:]), h, c)

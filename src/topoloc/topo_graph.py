@@ -7,14 +7,16 @@ Euclidean position with yaw difference weighted by omega_m.
 Pose-metric queries against a map (`nearest_nodes`, and the loop closures of
 `build_map_sim`) make one array pass over the nodes' (x, y, theta) rows,
 cached on the map.  `np.hypot` may differ from `math.hypot` in the last bit,
-so `pose_distance` decides between the nodes that lie within a small relative
-slack of a row's minimum or of the threshold: every answer equals that of a
-loop over `pose_distance`.
+so the pairs within a small relative slack of a query's minimum, or of the
+loop-closure threshold, are decided again in one pass with `math.hypot`
+(a query takes the lowest node among its minima): every answer equals that
+of a loop over `pose_distance`.
 
 `TopoMap.bfs` is the one graph search: hop counts and the first-discovery
 parents from a source, over directed edges or over edges in either
-direction.  Each search runs on first request and is cached on the map, so
-hop distances (`edge_distance`), navigation plans and goal sampling share it.
+direction, over ascending successor and neighbor tuples built once per map.
+Each search runs on first request and is cached on the map, so hop distances
+(`edge_distance`), navigation plans and goal sampling share it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,10 +54,8 @@ class Pose2D:
     y: float
     theta: float  # yaw, degrees, normalized to (-180, 180]
 
-    def __post_init__(self):
-        self.x = float(self.x)
-        self.y = float(self.y)
-        self.theta = wrap_angle_deg(float(self.theta))
+    def __init__(self, x, y, theta):
+        self.x, self.y, self.theta = float(x), float(y), wrap_angle_deg(float(theta))
 
     def to_dict(self):
         return {"x": self.x, "y": self.y, "theta": self.theta}
@@ -105,7 +106,7 @@ class TopoMap:
             raise ValueError("a map needs at least one node")
         if not np.all(np.isfinite(self.descriptors)):
             raise ValueError("descriptors contain non-finite values")
-        n = self.descriptors.shape[0]
+        self.n = n = self.descriptors.shape[0]
         if poses is not None:
             poses = list(poses)
             if len(poses) != n:
@@ -122,18 +123,8 @@ class TopoMap:
             seen.add((s, t))
         self.edges = [(int(s), int(t)) for s, t in edges]
         self.config = config
-        self._adj = [set() for _ in range(n)]
-        self._succ = [set() for _ in range(n)]
-        for s, t in self.edges:
-            self._succ[s].add(t)
-            self._adj[s].add(t)
-            self._adj[t].add(s)
         self._searches = {}
         self._xyt = None
-
-    @property
-    def n(self):
-        return self.descriptors.shape[0]
 
     @property
     def has_poses(self):
@@ -154,10 +145,21 @@ class TopoMap:
             self._xyt = xyt
         return self._xyt
 
+    @cached_property
+    def _adjacent(self):
+        """Per node, its neighbors, then per node its successors, as ascending tuples."""
+        index = []
+        for pairs in ({*self.edges, *((t, s) for s, t in self.edges)}, self.edges):
+            nodes = [[] for _ in range(self.n)]
+            for s, t in sorted(pairs):
+                nodes[s].append(t)
+            index.append(tuple(map(tuple, nodes)))
+        return index
+
     def neighbors(self, i):
         """Nodes adjacent via any edge touching i, undirected, ascending."""
         self._check_id(i)
-        return sorted(self._adj[i])
+        return list(self._adjacent[0][i])
 
     def bfs(self, source, directed=False):
         """Breadth-first search from `source`: a (hops, parent) pair of tuples.
@@ -168,17 +170,17 @@ class TopoMap:
         and for unreached nodes); `hops[v]` is UNREACHABLE when v cannot be
         reached.  The result is computed on first request and cached.
         """
-        self._check_id(source)
         key = (source, directed)
         if key not in self._searches:
-            succ = self._succ if directed else self._adj
+            self._check_id(source)
+            succ = self._adjacent[directed]
             hops = [UNREACHABLE] * self.n
             parent = [None] * self.n
             hops[source] = 0
             q = deque([source])
             while q:
                 u = q.popleft()
-                for v in sorted(succ[u]):
+                for v in succ[u]:
                     if hops[v] == UNREACHABLE:
                         hops[v] = hops[u] + 1
                         parent[v] = u
@@ -188,7 +190,6 @@ class TopoMap:
 
     def edge_distance(self, a, b):
         """Minimum undirected hop count; UNREACHABLE when no path exists."""
-        self._check_id(a)
         self._check_id(b)
         return self.bfs(a)[0][b]
 
@@ -252,19 +253,18 @@ def build_map_sim(trajectory, cfg: MapConfig) -> TopoMap:
     for k in range(1, len(trajectory)):
         if pose_distance(trajectory[k][1], trajectory[taken[-1]][1], cfg.omega_m) > cfg.alpha_th:
             taken.append(k)
-    descriptors = np.stack([np.asarray(trajectory[k][0], dtype=np.float64) for k in taken])
+    descriptors = np.array([trajectory[k][0] for k in taken], dtype=np.float64)
     poses = [trajectory[k][1] for k in taken]
     xyt = _as_xyt(poses)
     closures = [[] for _ in poses]
     for first, d in _metric_blocks(xyt, xyt, cfg.omega_m):
         rows = np.arange(first, first + d.shape[0])[:, None]
         near = (d <= cfg.alpha_th * (1.0 + _SLACK)) & (np.arange(len(poses)) < rows - 1)
-        for r, j in zip(*np.nonzero(near)):
-            i = first + int(r)
-            if d[r, j] > cfg.alpha_th * (1.0 - _SLACK) and \
-                    pose_distance(poses[i], poses[j], cfg.omega_m) > cfg.alpha_th:
-                continue
-            closures[i].append(int(j))
+        i, j = np.nonzero(near)
+        i += first  # of the pairs near the threshold, those within it by the exact metric
+        within = _metric(xyt[:, i], xyt[:, j], cfg.omega_m, exact=True) <= cfg.alpha_th
+        for node, earlier in zip(i[within].tolist(), j[within].tolist()):
+            closures[node].append(earlier)
     edges = []
     for i in range(1, len(poses)):
         edges.append((i - 1, i))
@@ -295,39 +295,46 @@ def nearest_nodes(topo: TopoMap, queries, omega_m: float) -> list:
     if omega_m <= 0:
         raise ValueError("omega_m must be positive")
     queries = list(queries)
+    xyt, nodes = _as_xyt(queries), topo.pose_rows()
     out = []
-    for first, d in _metric_blocks(_as_xyt(queries), topo.pose_rows(), omega_m):
-        # the nodes within the slack of each query's minimum, by query, then by node
-        hits = np.flatnonzero(d <= d.min(axis=1, keepdims=True) * (1.0 + _SLACK))
-        if len(hits) == len(d):  # one per query
-            out += (hits % topo.n).tolist()
-            continue
-        near = [[] for _ in d]
-        for h in hits.tolist():
-            near[h // topo.n].append(h % topo.n)
-        for q, nodes in zip(queries[first:], near):
-            if not nodes:  # a NaN metric is below no minimum
-                raise ValueError(f"query pose {q} is not finite")
-            out.append(nodes[0] if len(nodes) == 1 else
-                       min(nodes, key=lambda i: pose_distance(q, topo.poses[i], omega_m)))
+    for first, d in _metric_blocks(xyt, nodes, omega_m):
+        near = d <= d.min(axis=1, keepdims=True) * (1.0 + _SLACK)  # within the slack
+        count = near.sum(axis=1)
+        if not count.all():  # a NaN metric is below no minimum
+            raise ValueError(f"query pose {queries[first + int(count.argmin())]} is not finite")
+        node = near.argmax(axis=1)  # each query's first, lowest, near node
+        tied = np.flatnonzero(count > 1)
+        if len(tied):  # the exact metric decides, then the lowest node among its minima
+            r, j = np.nonzero(near[tied])
+            q = tied[r]
+            exact = _metric(xyt[:, first + q], nodes[:, j], omega_m, exact=True)
+            group_starts = np.cumsum(count[tied]) - count[tied]
+            node[tied] = j[np.lexsort((exact, q))[group_starts]]  # lexsort is stable
+        out += node.tolist()
     return out
 
 
 def _as_xyt(poses):
     """(3, n) array of the poses' x, y and theta rows."""
-    return np.array([(p.x, p.y, p.theta) for p in poses], dtype=np.float64).reshape(-1, 3).T
+    return np.array([[p.x for p in poses], [p.y for p in poses], [p.theta for p in poses]],
+                    dtype=np.float64)
+
+
+def _metric(a, b, omega_m, exact=False):
+    """`pose_distance` of the columns of `_as_xyt` arrays a and b, elementwise, whose
+    np.hypot may differ from math.hypot in the last bit; `exact` (1-D only) takes the latter."""
+    dx, dy = a[0] - b[0], a[1] - b[1]
+    hyp = np.array(list(map(math.hypot, dx.tolist(), dy.tolist()))) if exact else np.hypot(dx, dy)
+    # |wrap_angle_deg(d)| of d = fmod(.., 360) is |d| or 360 - |d|, whichever is smaller
+    dth = np.abs(np.fmod(a[2] - b[2], 360.0))
+    return hyp + omega_m * np.minimum(dth, 360.0 - dth)
 
 
 def _metric_blocks(a, b, omega_m):
-    """Yield (first column, block) of the pose metric from each pose of `a` to all of `b`.
+    """Yield (first column, block) of `_metric` from each pose of `a` to all of `b`.
 
-    a and b are `_as_xyt` arrays; a block is (poses of a, poses of b).  The
-    operations are those of `pose_distance`, except that np.hypot may differ from
-    math.hypot in the last bit.
+    a and b are `_as_xyt` arrays; a block is (poses of a, poses of b).
     """
     step = max(1, _BLOCK // b.shape[1])
     for first in range(0, a.shape[1], step):
-        x, y, theta = a[:, first:first + step, None]
-        # |wrap_angle_deg(d)| of d = fmod(.., 360) is |d| or 360 - |d|, whichever is smaller
-        dth = np.abs(np.fmod(theta - b[2], 360.0))
-        yield first, np.hypot(x - b[0], y - b[1]) + omega_m * np.minimum(dth, 360.0 - dth)
+        yield first, _metric(a[:, first:first + step, None], b, omega_m)

@@ -16,16 +16,13 @@ configurable ratio; early stopping follows the validation loss.
 
 from __future__ import annotations
 
-import ctypes
-import gc
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import localizer as L
 from .map_sampler import sample_submap
-from .tensor import Adam, Segments, Tensor, cross_entropy, no_grad
+from .tensor import Adam, Segments, Tensor, cross_entropy, memory_scope, no_grad
 from .topo_graph import MapConfig, TopoMap, build_map_real, nearest_nodes
 
 SIM = "sim"
@@ -82,18 +79,18 @@ class TrainConfig:
 
 def make_sim_sample(trajectory, topo: TopoMap, cfg: MapConfig) -> Sample:
     """Targets via the pose metric; trajectory is a list of (descriptor, Pose2D)."""
-    if not topo.has_poses:
-        raise ValueError("simulator samples need a map with poses")
-    observations = np.stack([np.asarray(d, dtype=np.float64) for d, _ in trajectory])
+    if not topo.has_poses or not trajectory:
+        raise ValueError("simulator samples need a non-empty trajectory and a map with poses")
+    observations = np.array([d for d, _ in trajectory], dtype=np.float64)
     poses = [p for _, p in trajectory]
     targets = nearest_nodes(topo, poses, cfg.omega_m)
     return Sample(observations, poses, topo, targets, SIM)
 
 
-def stride_target(t: int, m_stride: int, n_nodes: int) -> int:
-    """Node whose stride index is nearest to step t; ties go to the lower node."""
+def stride_target(t, m_stride: int, n_nodes: int):
+    """Node whose stride index is nearest to step t (an int or an int array); ties go low."""
     # round t / m_stride half down: the least k with t - k * m_stride <= m_stride / 2
-    return min((2 * t + m_stride - 1) // (2 * m_stride), n_nodes - 1)
+    return np.minimum((2 * t + m_stride - 1) // (2 * m_stride), n_nodes - 1)
 
 
 def make_real_like_sample(sequence, m_stride: int) -> Sample:
@@ -102,7 +99,7 @@ def make_real_like_sample(sequence, m_stride: int) -> Sample:
     if observations.ndim != 2 or observations.shape[0] == 0:
         raise ValueError("sequence must be a non-empty (steps, d_obs) array")
     topo = build_map_real(observations, m_stride)
-    targets = [stride_target(t, m_stride, topo.n) for t in range(observations.shape[0])]
+    targets = stride_target(np.arange(observations.shape[0]), m_stride, topo.n).tolist()
     return Sample(observations, None, topo, targets, REAL_LIKE)
 
 
@@ -190,49 +187,6 @@ def validation_loss(model, val_samples, cfg, seed=12345):
         return sequence_loss(model, windows).item()
 
 
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector; restore its previous state on exit.
-
-    Autograd graphs hold no reference cycles and are freed by reference
-    counting, so collections during training find nothing and only pause.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # malloc.h
-
-
-def _mallopt(param, value):
-    """The C library's ``mallopt(param, value)``; does nothing where it has none."""
-    try:
-        return ctypes.CDLL(None).mallopt(param, value)
-    except (AttributeError, OSError, TypeError):
-        return 0
-
-
-@contextmanager
-def _heap_kept():
-    """Keep freed heap in the process; restore glibc's default trim threshold on exit.
-
-    An iteration frees megabytes of activations that the next allocates again,
-    which glibc would otherwise unmap or trim and fault in anew.  The mmap
-    threshold stays raised: once set, glibc no longer adapts it.
-    """
-    _mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    _mallopt(_M_TRIM_THRESHOLD, 256 << 20)
-    try:
-        yield
-    finally:
-        _mallopt(_M_TRIM_THRESHOLD, 128 << 10)
-
-
 def train(model: L.Localizer, sim_set, real_set, val_set, cfg: TrainConfig):
     """Optimize until the validation loss stops improving; keep the best."""
     if len(sim_set) == 0 and cfg.mix_ratio < 1.0:
@@ -247,7 +201,7 @@ def train(model: L.Localizer, sim_set, real_set, val_set, cfg: TrainConfig):
     history = TrainHistory()
     best_snapshot = model.state_snapshot()
     model.train()
-    with _collector_paused(), _heap_kept():
+    with memory_scope():
         val = validation_loss(model, val_set, cfg)
         since_best = 0
         for it in range(1, cfg.max_iters + 1):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import topoloc.evaluation as E
 import topoloc.localizer as L
-import topoloc.trainer as TR
+from topoloc import tensor as T
 from topoloc.tensor import cross_entropy, grad_check
 from topoloc.topo_graph import MapConfig, Pose2D, TopoMap
 
@@ -166,7 +166,7 @@ def test_eval_run_keeps_freed_heap_and_restores_trim_threshold(monkeypatch, fail
                 raise RuntimeError("injected mid-run failure")
             return super().step(observation, gt_pose)
 
-    monkeypatch.setattr(TR, "_mallopt", lambda param, value: calls.append((param, value)))
+    monkeypatch.setattr(T, "_mallopt", lambda param, value: calls.append((param, value)))
     topo = chain_map(4)
     run = lambda: E.eval_run(Watched([0, 1, 2, 3]), topo.descriptors, topo, [0, 1, 2, 3])
     if fail:
@@ -174,9 +174,9 @@ def test_eval_run_keeps_freed_heap_and_restores_trim_threshold(monkeypatch, fail
             run()
     else:
         run()
-    raised = [(TR._M_MMAP_THRESHOLD, 32 << 20), (TR._M_TRIM_THRESHOLD, 256 << 20)]
+    raised = [(T._M_MMAP_THRESHOLD, 32 << 20), (T._M_TRIM_THRESHOLD, 256 << 20)]
     assert len(seen) == (2 if fail else 4) and all(c == raised for c in seen)
-    assert calls == raised + [(TR._M_TRIM_THRESHOLD, 128 << 10)]
+    assert calls == raised + [(T._M_TRIM_THRESHOLD, 128 << 10)]
 
 
 # -- ablations ---------------------------------------------------------------

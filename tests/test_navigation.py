@@ -1,6 +1,7 @@
 """Navigation harness tests: planner optimality against brute force,
 subgoal selection, servo behavior, trial outcomes, and metric accounting."""
 
+import gc
 import itertools
 import math
 import platform
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import topoloc.localizer as L
 import topoloc.navigation as N
 import topoloc.simworld as W
-import topoloc.trainer as TR
+from topoloc import tensor as T
 from topoloc.evaluation import ModelLocalizer, OracleLocalizer
 from topoloc.topo_graph import MapConfig, Pose2D, TopoMap, build_map_sim
 
@@ -282,7 +283,7 @@ def test_trial_keeps_freed_heap_and_restores_trim_threshold(monkeypatch, fail):
                 raise RuntimeError("injected mid-run failure")
             return super().step(observation, gt_pose)
 
-    monkeypatch.setattr(TR, "_mallopt", lambda param, value: calls.append((param, value)))
+    monkeypatch.setattr(T, "_mallopt", lambda param, value: calls.append((param, value)))
     w, m, topo = oracle_setup()
     cfg = N.NavConfig(goal_node=8, time_limit_steps=10)
     run = lambda: N.run_trial(w, topo, Watched(0.025), m, topo.poses[2], cfg, seed=5)
@@ -291,9 +292,35 @@ def test_trial_keeps_freed_heap_and_restores_trim_threshold(monkeypatch, fail):
             run()
     else:
         assert run().steps == 10
-    raised = [(TR._M_MMAP_THRESHOLD, 32 << 20), (TR._M_TRIM_THRESHOLD, 256 << 20)]
+    raised = [(T._M_MMAP_THRESHOLD, 32 << 20), (T._M_TRIM_THRESHOLD, 256 << 20)]
     assert len(seen) == (3 if fail else 10) and all(c == raised for c in seen)
-    assert calls == raised + [(TR._M_TRIM_THRESHOLD, 128 << 10)]
+    assert calls == raised + [(T._M_TRIM_THRESHOLD, 128 << 10)]
+
+
+def test_trials_in_one_outer_scope_keep_the_heap_between_them(monkeypatch):
+    calls, seen = [], []
+
+    class Watched(OracleLocalizer):
+        def step(self, observation, gt_pose=None):
+            seen.append((list(calls), gc.isenabled()))
+            return super().step(observation, gt_pose)
+
+    monkeypatch.setattr(T, "_mallopt", lambda param, value: calls.append((param, value)))
+    w, m, topo = oracle_setup()
+    cfg = N.NavConfig(goal_node=8, time_limit_steps=10)
+    raised = [(T._M_MMAP_THRESHOLD, 32 << 20), (T._M_TRIM_THRESHOLD, 256 << 20)]
+    collecting = gc.isenabled()
+    gc.enable()
+    try:
+        with T.memory_scope():
+            for seed in (5, 6):
+                N.run_trial(w, topo, Watched(0.025), m, topo.poses[2], cfg, seed=seed)
+            assert calls == raised  # the trials' own scopes neither raise nor restore
+        assert gc.isenabled()
+    finally:
+        (gc.enable if collecting else gc.disable)()
+    assert len(seen) == 20 and all(c == (raised, False) for c in seen)
+    assert calls == raised + [(T._M_TRIM_THRESHOLD, 128 << 10)]
 
 
 def corridors_world(corridors):
@@ -331,7 +358,7 @@ def test_steady_state_model_trial_step_faults_in_fewer_than_5_pages():
     cfg = N.NavConfig(goal_node=60, time_limit_steps=60)
     # glibc's thresholds as any earlier training or evaluation leaves them: fixed,
     # with the default trim threshold, whatever ran before in this process
-    with TR._heap_kept():
+    with T.memory_scope():
         pass
     for _ in range(2):  # a warm-up trial, then the measured one
         faults.clear()

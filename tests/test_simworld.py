@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import topoloc.simworld as W
-from topoloc.topo_graph import MapConfig, Pose2D, TopoMap, build_map_sim
+from topoloc.topo_graph import (MapConfig, Pose2D, TopoMap, build_map_sim, nearest_nodes,
+                                pose_distance)
 
 
 def world(seed=0):
@@ -189,6 +190,86 @@ def test_trajectory_direction_and_span():
     rev = W.generate_trajectory(w, 20.0, 0.0, 0.0, seed=6, step=0.5)
     assert rev[0].x == 20.0 and abs(rev[-1].x) < 1e-9
     assert rev[0].theta == 180.0
+
+
+def trajectory_loop(world, start_x, goal_x, deviation_amplitude, seed, step=0.5):
+    """generate_trajectory as a loop over steps: the array pass's reference."""
+    margin = 0.05
+    goal_x = min(max(goal_x, 0.0), world.total_length)
+    rng = np.random.default_rng(seed)
+    direction = 1.0 if goal_x >= start_x else -1.0
+    heading = 0.0 if direction > 0 else 180.0
+    span = abs(goal_x - start_x)
+    count = max(int(round(span / step)), 1)
+    sign = 1.0 if rng.random() < 0.5 else -1.0
+    period = rng.uniform(8.0, 16.0)
+    phase = rng.uniform(0, 2 * math.pi)
+    phase2 = rng.uniform(0, 2 * math.pi)
+    poses = []
+    for k in range(count + 1):
+        x = start_x + direction * min(k * step, span)
+        profile = 0.85 + 0.15 * math.sin(2 * math.pi * x / period + phase)
+        y = sign * deviation_amplitude * profile
+        y = min(max(y, -(world.spec.half_width - margin)), world.spec.half_width - margin)
+        dth = 2.0 * deviation_amplitude * math.sin(2 * math.pi * x / period + phase2)
+        poses.append(Pose2D(x, y, heading + dth))
+    return poses
+
+
+def same_floats(a, b):
+    """Equal as floats, with zeros of the same sign."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@pytest.mark.parametrize("step", [0.37, 0.5, 1.0])
+@pytest.mark.parametrize("start_x,goal_x", [
+    (0.0, 65.0), (65.0, 0.0),    # the whole world, both directions
+    (3.3, 41.7), (41.7, 3.3),    # spans of no whole number of steps
+    (12.0, 80.0), (50.0, -10.0),  # goals clamped to the world
+    (20.0, 20.0),                # no span: one step that stays put
+])
+def test_trajectory_matches_per_step_loop_bit_for_bit(start_x, goal_x, step):
+    w = world()
+    clamped = 0
+    for seed in range(4):  # both lateral signs occur
+        for amp in (0.0, 0.3, 1.2, 1.6, 3.0):  # the last two reach the wall clamp
+            got = W.generate_trajectory(w, start_x, goal_x, amp, seed, step=step)
+            want = trajectory_loop(w, start_x, goal_x, amp, seed, step=step)
+            assert len(got) == len(want)
+            for p, q in zip(got, want):
+                assert all(same_floats(a, b) for a, b in
+                           ((p.x, q.x), (p.y, q.y), (p.theta, q.theta))), (p, q)
+            clamped += sum(abs(p.y) == w.spec.half_width - 0.05 for p in got)
+    assert clamped > 0
+
+
+def nearest_node_loop(topo, query, omega_m):
+    """The first node of least pose_distance, by a scalar loop."""
+    d = [pose_distance(query, p, omega_m) for p in topo.poses]
+    return d.index(min(d))
+
+
+@pytest.mark.parametrize("map_seed", [1, 7])
+def test_nearest_nodes_of_benchmark_samples_match_scalar_loop(map_seed):
+    # built as the benchmark builds its sim samples: a map from a nominal pass at
+    # 1 m steps holds a node every 2 m, and deviated passes at 1 m steps put every
+    # other query exactly midway between two nodes
+    w = world()
+    m = W.ObservationModel.create(16, noise_sigma=0.05, shift_seed=7, extra_sigma=0.05)
+    nominal = W.generate_trajectory(w, 0.0, w.total_length, 0.0, map_seed, step=1.0)
+    mc = MapConfig()
+    topo = build_map_sim(list(zip(W.render_trajectory(w, nominal, m, "sim", 3), nominal)), mc)
+    ties = 0
+    for k, deviation in enumerate((0.0, 0.3, 0.8, 1.3)):
+        for reverse in (False, True):
+            a, b = (w.total_length, 0.0) if reverse else (0.0, w.total_length)
+            queries = W.generate_trajectory(w, a, b, deviation, 100 * map_seed + k, step=1.0)
+            assert nearest_nodes(topo, queries, mc.omega_m) == \
+                [nearest_node_loop(topo, q, mc.omega_m) for q in queries]
+            for q in queries:
+                d = [pose_distance(q, p, mc.omega_m) for p in topo.poses]
+                ties += d.count(min(d)) > 1
+    assert ties > 100  # about a third of the queries are exact ties
 
 
 def test_trajectory_rejects_bad_start():

@@ -1,6 +1,7 @@
 import gc
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -466,6 +467,28 @@ def test_gclstm_step_matches_unfused_expression_and_finite_differences(n):
 
     assert_gradients_match(fused, reference, p)
     assert max(grad_check(fused, p).values()) < 1e-6
+
+
+def test_sigmoid_below_minus_709_is_silent_and_exact():
+    # exp(-z) overflows to inf there, and the sigmoid is exactly 0
+    z = np.array([-1000.0, -745.5, -710.0, -709.0, 0.0, 750.0])
+    with np.errstate(over="ignore"):
+        want = 1.0 / (1.0 + np.exp(-z))
+    params, p, _ = gclstm_inputs(3, seed=85)
+    for b in (params.b_i, params.b_f, params.b_o):  # gate pre-activations far below -709
+        b.data = np.full(b.shape, -1000.0)
+    state = L.GCLSTMState(p["h"], p["c"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Tensor.param(z).sigmoid().data.tobytes() == want.tobytes()
+        ref_h, ref_c = gclstm_reference(params, p["x"], p["adj"], state)
+        recorded = run_cell(params, p["x"], p["adj"], p["h"], p["c"])
+        with no_grad():
+            unrecorded = run_cell(params, p["x"], p["adj"], p["h"], p["c"])
+    assert not ref_c.data.any()  # forget and input gates shut
+    for h, c, _, _ in (recorded, unrecorded):
+        assert h.data.tobytes() == ref_h.data.tobytes()
+        assert c.data.tobytes() == ref_c.data.tobytes()
 
 
 def test_gclstm_step_in_no_grad_saves_nothing():

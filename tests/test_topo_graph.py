@@ -356,6 +356,12 @@ def test_nearest_node_rejects_non_finite_poses():
         nearest_node(posed_map([pose(0), pose(math.nan)]), pose(0), OMEGA)
 
 
+def test_nearest_nodes_reject_a_non_finite_query_beside_a_tie():
+    # no node near the first query and two near the second: as many as queries
+    with pytest.raises(ValueError, match="not finite"):
+        nearest_nodes(two_node_map(), [Pose2D(math.nan, 0.0, 0.0), pose(0.5)], OMEGA)
+
+
 def test_map_without_nodes_rejected():
     with pytest.raises(ValueError, match="at least one node"):
         TopoMap(np.zeros((0, 16)), [], [])

@@ -11,6 +11,7 @@ import pytest
 import topoloc.localizer as L
 import topoloc.simworld as W
 import topoloc.trainer as TR
+from topoloc import tensor as T
 from topoloc.topo_graph import (MapConfig, Pose2D, TopoMap, build_map_real, build_map_sim,
                                 pose_distance)
 
@@ -64,6 +65,11 @@ def test_sim_sample_requires_poses():
     topo = TopoMap(np.zeros((2, 4)), None, [(0, 1)], MapConfig())
     with pytest.raises(ValueError):
         TR.make_sim_sample([(np.zeros(4), Pose2D(0, 0, 0))], topo, MapConfig())
+
+
+def test_sim_sample_requires_a_non_empty_trajectory():
+    with pytest.raises(ValueError, match="non-empty"):
+        TR.make_sim_sample([], posed_map(2, 4, seed=3), MapConfig())
 
 
 def test_stride_targets_examples():
@@ -326,7 +332,7 @@ def test_train_keeps_freed_heap_and_restores_trim_threshold(monkeypatch, fail):
             raise RuntimeError("injected mid-loop failure")
         return real_loss(*args)
 
-    monkeypatch.setattr(TR, "_mallopt", lambda param, value: calls.append((param, value)))
+    monkeypatch.setattr(T, "_mallopt", lambda param, value: calls.append((param, value)))
     monkeypatch.setattr(TR, "sequence_loss", watched_loss)
     model = L.Localizer(small_cfg(), seed=47)
     if fail:
@@ -334,9 +340,9 @@ def test_train_keeps_freed_heap_and_restores_trim_threshold(monkeypatch, fail):
             TR.train(model, [sample], [], [sample], tc)
     else:
         TR.train(model, [sample], [], [sample], tc)
-    raised = [(TR._M_MMAP_THRESHOLD, 32 << 20), (TR._M_TRIM_THRESHOLD, 256 << 20)]
+    raised = [(T._M_MMAP_THRESHOLD, 32 << 20), (T._M_TRIM_THRESHOLD, 256 << 20)]
     assert len(seen) >= 3 and all(c == raised for c in seen)
-    assert calls == raised + [(TR._M_TRIM_THRESHOLD, 128 << 10)]
+    assert calls == raised + [(T._M_TRIM_THRESHOLD, 128 << 10)]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
