@@ -162,7 +162,10 @@ def cmd_build_map(args):
 
 
 def load_map(path):
-    return TopoMap.from_dict(_load_json(path, "map artifact"))
+    try:
+        return TopoMap.from_dict(_load_json(path, "map artifact"))
+    except (KeyError, TypeError, ValueError) as exc:  # a malformed map
+        raise CliError(f"bad map artifact {path}: {exc!r}") from exc
 
 
 def build_samples(topo, sim_trajs, mc):

@@ -19,7 +19,7 @@ the parameter names are the checkpoint format.
 
 One forward, ``step_logits``, serves inference and training.  It runs over
 any number of steps on a ``MapContext`` holding one map or the disjoint
-union of several (node rows concatenated, a block-diagonal adjacency), with
+union of several (node rows concatenated, a block-diagonal array of the maps' adjacencies), with
 one observation per map and step; each map's nodes gather their own
 observation's row.  Everything but the recurrence runs once over the rows of
 all steps.  ``localize_step`` is its one-map, one-step case; training runs
@@ -36,7 +36,7 @@ import numpy as np
 from . import tensor as T
 from .tensor import (Tensor, Segments, batch_norm, concat, gclstm_cell, gclstm_stack, gin,
                      linear, take_rows)
-from .topo_graph import TopoMap
+from .topo_graph import TopoMap, adjacency_matrix
 
 VARIANTS = ("full", "no_gclstm", "no_skip")
 
@@ -169,20 +169,8 @@ def pair_features(params: MLPParams, current_emb: Tensor, node_embs: Tensor,
     return _mlp(params, concat([take_rows(current_emb, query), node_embs], axis=1))
 
 
-def _as_adjacency(x_rows, edges):
-    if isinstance(edges, Tensor):
-        return edges
-    a = np.zeros((x_rows, x_rows))
-    for s, t in edges:
-        if not (0 <= s < x_rows and 0 <= t < x_rows) or s == t:
-            raise ValueError(f"invalid edge ({s}, {t}) for {x_rows} nodes")
-        a[s, t] = 1.0
-        a[t, s] = 1.0
-    return Tensor.const(a)
-
-
 def gin_aggregate(params: GINParams, x: Tensor, edges) -> Tensor:
-    adj = _as_adjacency(x.shape[0], edges)
+    adj = edges if isinstance(edges, np.ndarray) else adjacency_matrix(edges, x.shape[0])
     return gin(x, adj, params.eps, params.w1, params.b1, params.w2, params.b2)
 
 
@@ -190,15 +178,16 @@ def _cell_gins(params: GCLSTMParams):
     return [(g.eps, g.w1, g.b1, g.w2, g.b2) for g in params.gins]
 
 
-def gclstm_step(params: GCLSTMParams, x: Tensor, edges, state: GCLSTMState, stacked=None):
+def gclstm_step(params: GCLSTMParams, x: Tensor, adj, state: GCLSTMState, stacked=None):
     """The GCLSTM over the steps stacked in `x`: (h of every step, state after the last).
 
+    `adj` is a constant adjacency matrix, or an edge list for `adjacency_matrix`.
     `stacked` is the `gclstm_stack` a `MapContext` holds; without it the cell stacks.
     """
     n = state.h.shape[0]
     if x.shape[0] < n or x.shape[0] % n:
         raise ValueError(f"{x.shape[0]} input rows are not whole steps of the {n}-row state")
-    adj = _as_adjacency(n, edges)
+    adj = adj if isinstance(adj, np.ndarray) else adjacency_matrix(adj, n)
     h, _, h_last, c_last = gclstm_cell(x, state.h, state.c, adj, _cell_gins(params),
                                        params.w_ci, params.w_cf, params.w_co, params.b_i,
                                        params.b_f, params.b_c, params.b_o, stacked)
@@ -242,14 +231,15 @@ def _tensors(params):
 class MapContext:
     """One map, or the disjoint union of several, ready for `step_logits`.
 
-    The maps' node rows are concatenated and `adj` is block-diagonal.
+    The maps' node rows are concatenated; `adj` is a constant block-diagonal array of their
+    `TopoMap.adjacency`.
     `segments` holds each map's block of rows; its ``ids`` give each row's
     map, which is the row of that map's observation in a step.  `gclstm` is
     `gclstm_stack` of the model's GCLSTM, if any.  A context is valid for the
     parameter values it was made from: `train` makes one per iteration.
     """
     node_embs: Tensor
-    adj: Tensor
+    adj: np.ndarray
     segments: Segments
     gclstm: tuple | None = None
 
@@ -346,13 +336,13 @@ def make_context(model: Localizer, *topos: TopoMap) -> MapContext:
     rows = sum(segments.sizes)
     adj = np.zeros((rows, rows))
     for t, lo in zip(topos, segments.starts):
-        adj[lo:lo + t.n, lo:lo + t.n] = t.undirected_adjacency_matrix()
+        adj[lo:lo + t.n, lo:lo + t.n] = t.adjacency
     descriptors = np.concatenate([t.descriptors for t in topos])
     with _inference(model):
         node_embs = encode(model.encoder, Tensor.const(descriptors))
     g = model.gclstm
     stacked = None if g is None else gclstm_stack(_cell_gins(g), g.b_i, g.b_f, g.b_c, rows)
-    return MapContext(node_embs, Tensor.const(adj), segments, stacked)
+    return MapContext(node_embs, adj, segments, stacked)
 
 
 def check_observations(model: Localizer, observations):

@@ -18,7 +18,8 @@ Besides elementwise, reduction and reshaping primitives, fused ops carry
 the localizer's layers and loss with one graph node each, with hand-written
 backward: ``linear``, ``gin``, ``take_rows``, ``batch_norm``,
 ``cross_entropy`` and ``gclstm_cell``, whose one node spans every step of a
-sequence, with h and c of all steps as column blocks.  Each computes its
+sequence, with h and c of all steps as column blocks.  ``gin`` and ``gclstm_cell``
+take the map's adjacency as a constant array, which gets no adjoint.  Each computes its
 forward in the same operation order as the unfused expression of primitives
 (the cell: as its steps and its stacked GINs run one at a time), so their values are bit-identical.
 Their backwards sum each parameter adjoint over rows in one ``ones @ g`` or ``einsum``.
@@ -419,18 +420,15 @@ def gin(x, adj, eps, w1, b1, w2, b2):
     """GIN layer ``relu(((1 + eps) x + adj @ x) @ w1 + b1) @ w2 + b2`` as one graph node."""
     params = (eps, w1, b1, w2, b2)
     scale = eps.data + 1.0
-    agg, hidden, out = _gin_forward(x.data, adj.data @ x.data, scale, w1.data, b1.data,
-                                    w2.data, b2.data)
+    agg, hidden, out = _gin_forward(x.data, adj @ x.data, scale, *(p.data for p in params[1:]))
     out = Tensor(out)
-    if _recording(x, adj, *params):
+    if _recording(x, *params):
         def bwd(g):
             g_hidden, g_agg = _gin_backprop(g, hidden, *params)
             _gin_param_adjoints(g, g_hidden, g_agg, x.data, agg, hidden, *params)
             if x.requires_grad:
-                x._accum(g_agg * scale + adj.data.T @ g_agg)
-            if adj.requires_grad:
-                adj._accum(g_agg @ x.data.T)
-        out._record((x, adj) + params, bwd)
+                x._accum(g_agg * scale + adj.T @ g_agg)
+        out._record((x,) + params, bwd)
     return out
 
 
@@ -512,15 +510,15 @@ def gclstm_cell(x, h0, c0, adj, gins, w_ci, w_cf, w_co, b_i, b_f, b_c, b_o, stac
     row blocks (h and c themselves for one step).  The backward is one
     reverse-time loop, then the parameter adjoints are taken once over all rows.
     """
-    inputs = ((x, h0, c0, adj) + tuple(t for p in gins for t in p)
+    inputs = ((x, h0, c0) + tuple(t for p in gins for t in p)
               + (w_ci, w_cf, w_co, b_i, b_f, b_c, b_o))
     recording = _recording(*inputs)
-    xd, hd, cd, ad = x.data, h0.data, c0.data, adj.data
+    xd, hd, cd = x.data, h0.data, c0.data
     n, d = hd.shape
     xw, hw, b_ifc = gclstm_stack(gins, b_i, b_f, b_c, n) if stacked is None else stacked
     steps = xd.shape[0] // n
     x_steps = xd if steps == 1 else xd.reshape(steps, n, -1)
-    ax = ad @ x_steps
+    ax = adj @ x_steps
     zx = np.empty((4, steps, n, d))  # the x-side layers' outputs
     x_layers, gates = [], []  # without a graph to record, intermediates are dropped once used
     for j in [slice(None)] if steps == 1 else range(4):
@@ -542,7 +540,7 @@ def gclstm_cell(x, h0, c0, adj, gins, w_ci, w_cf, w_co, b_i, b_f, b_c, b_o, stac
             # order of the equations (the GIN terms commute); without a graph to record,
             # the h-side layers' output overwrites their sums, no longer needed by then
             z = np.empty((4, n, d))
-            _gin_forward(hd, ad @ hd, *hw, *((h_agg[:, rows], h_hidden[:, rows], z) if recording
+            _gin_forward(hd, adj @ hd, *hw, *((h_agg[:, rows], h_hidden[:, rows], z) if recording
                                             else (z, None, z)))
             z += zx[:, t]
             z[0] += w_ci.data * cd
@@ -567,9 +565,6 @@ def gclstm_cell(x, h0, c0, adj, gins, w_ci, w_cf, w_co, b_i, b_f, b_c, b_o, stac
         h, c = Tensor(h), Tensor(c)
         return (h, c, h, c) if out is None else (Tensor(out[n:, :d]), Tensor(out[n:, d:]), h, c)
 
-    def per_step(a):  # one block of n rows per step
-        return a.reshape(steps, n, -1)
-
     def bwd(g):
         g = g[n:]
         h_prev, c_prev, c_all = out[:-n, :d], out[:-n, d:], out[n:, d:]
@@ -593,7 +588,7 @@ def gclstm_cell(x, h0, c0, adj, gins, w_ci, w_cf, w_co, b_i, b_f, b_c, b_o, stac
             ga = [_gin_backprop(dz[j, rows], h_saved[j][1][rows], *gins[2 * j + 1],
                                 g_hidden[j][rows], g_agg[j][rows])[1] for j in range(4)]
             dh = (ga[0] * scales[0] + ga[1] * scales[1] + ga[2] * scales[2]
-                  + ga[3] * scales[3] + ad.T @ (ga[0] + ga[1] + ga[2] + ga[3]))
+                  + ga[3] * scales[3] + adj.T @ (ga[0] + ga[1] + ga[2] + ga[3]))
         peepholes = [(t, np.einsum("ij,ij->j", a, c)) for t, a, c in
                      ((w_ci, dz[0], c_prev), (w_cf, dz[1], c_prev), (w_co, dz[3], c_all))]
         biases = zip((b_i, b_f, b_c, b_o), np.ones(steps * n) @ dz)
@@ -610,15 +605,11 @@ def gclstm_cell(x, h0, c0, adj, gins, w_ci, w_cf, w_co, b_i, b_f, b_c, b_o, stac
             _gin_param_adjoints(dz[j], g_hidden[j], g_agg[j], h_prev, *h_saved[j],
                                 *gins[2 * j + 1])
             h_saved[j] = g_hidden[j] = None
-        gsum = x_agg[0] + x_agg[1] + x_agg[2] + x_agg[3]
         if x.requires_grad:
+            gsum = x_agg[0] + x_agg[1] + x_agg[2] + x_agg[3]
             x._accum(x_agg[0] * x_layers[0][0] + x_agg[1] * x_layers[1][0]
                      + x_agg[2] * x_layers[2][0] + x_agg[3] * x_layers[3][0]
-                     + (ad.T @ per_step(gsum)).reshape(gsum.shape))
-        if adj.requires_grad:
-            hsum = g_agg[0] + g_agg[1] + g_agg[2] + g_agg[3]
-            adj._accum((per_step(gsum) @ per_step(xd).transpose(0, 2, 1)
-                        + per_step(hsum) @ per_step(h_prev).transpose(0, 2, 1)).sum(axis=0))
+                     + (adj.T @ gsum.reshape(steps, n, -1)).reshape(gsum.shape))
 
     # h and c of every step, then of the last step unless that is every step
     rows = [slice(n, None)] + ([slice(steps * n, None)] if steps > 1 else [])
@@ -714,8 +705,10 @@ def batch_norm(x, gamma, beta, eps=1e-5, segments=None):
     xd = x.data
     seg = Segments(xd.shape[:1]) if segments is None else segments
     n = seg.counts
-    # sum * (1/n) rather than mean(): the composed op's order, for bit-identical values
+    # sum * (1/n) rather than mean(): the composed op's order, for bit-identical values;
+    # a feature whose rows equal its segment's first row centres to 0 there, not to rounding
     xc = xd - seg.spread(seg.reduce(np.add, xd) * (1.0 / n))
+    np.copyto(xc, 0, where=seg.spread(seg.reduce(np.logical_and, xd == seg.spread(xd[seg.starts]))))
     std = seg.spread(np.sqrt(seg.reduce(np.add, xc * xc) * (1.0 / n) + eps))
     xhat = xc / std
     out = Tensor(xhat * gamma.data + beta.data)

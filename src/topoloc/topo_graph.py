@@ -17,6 +17,8 @@ parents from a source, over directed edges or over edges in either
 direction, over ascending successor and neighbor tuples built once per map.
 Each search runs on first request and is cached on the map, so hop distances
 (`edge_distance`), navigation plans and goal sampling share it.
+
+`adjacency_matrix` builds the read-only undirected adjacency that `TopoMap.adjacency` caches.
 """
 
 from __future__ import annotations
@@ -107,24 +109,13 @@ class TopoMap:
         if not np.all(np.isfinite(self.descriptors)):
             raise ValueError("descriptors contain non-finite values")
         self.n = n = self.descriptors.shape[0]
-        if poses is not None:
-            poses = list(poses)
-            if len(poses) != n:
-                raise ValueError("pose count must match node count")
-        self.poses = poses
-        seen = set()
-        for (s, t) in edges:
-            if not (0 <= s < n and 0 <= t < n):
-                raise ValueError(f"edge ({s}, {t}) references an invalid node")
-            if s == t:
-                raise ValueError(f"self-loop on node {s}")
-            if (s, t) in seen:
-                raise ValueError(f"duplicate edge ({s}, {t})")
-            seen.add((s, t))
-        self.edges = [(int(s), int(t)) for s, t in edges]
+        self.poses = None if poses is None else list(poses)
+        if poses is not None and len(self.poses) != n:
+            raise ValueError("pose count must match node count")
+        self._pairs = _edge_array(edges, n)  # validated once, as one (m, 2) array
+        self.edges = list(map(tuple, self._pairs.tolist()))
         self.config = config
         self._searches = {}
-        self._xyt = None
 
     @property
     def has_poses(self):
@@ -134,16 +125,15 @@ class TopoMap:
         if not 0 <= i < self.n:
             raise IndexError(f"node id {i} out of range for map with {self.n} nodes")
 
+    @cached_property
     def pose_rows(self):
-        """The node poses as a (3, n) array of x, y and theta rows; built on first request."""
+        """The node poses as a (3, n) array of x, y and theta rows; built on first use."""
         if not self.has_poses:
             raise ValueError("pose queries require a map with poses")
-        if self._xyt is None:
-            xyt = _as_xyt(self.poses)
-            if not np.isfinite(xyt).all():
-                raise ValueError("map poses contain non-finite values")
-            self._xyt = xyt
-        return self._xyt
+        xyt = _as_xyt(self.poses)
+        if not np.isfinite(xyt).all():
+            raise ValueError("map poses contain non-finite values")
+        return xyt
 
     @cached_property
     def _adjacent(self):
@@ -193,12 +183,10 @@ class TopoMap:
         self._check_id(b)
         return self.bfs(a)[0][b]
 
-    def undirected_adjacency_matrix(self):
-        a = np.zeros((self.n, self.n))
-        for s, t in self.edges:
-            a[s, t] = 1.0
-            a[t, s] = 1.0
-        return a
+    @cached_property
+    def adjacency(self):
+        """The map's read-only `adjacency_matrix`, built on first use."""
+        return adjacency_matrix(self._pairs, self.n)
 
     # -- persistence ---------------------------------------------------------
 
@@ -227,7 +215,7 @@ class TopoMap:
                              "a map needs a pose on every node or on none")
         poses = [Pose2D.from_dict(nd["pose"]) for nd in nodes] if with_pose else None
         config = MapConfig.from_dict(d["config"]) if d.get("config") else None
-        return TopoMap(descriptors, poses, [tuple(e) for e in d["edges"]], config)
+        return TopoMap(descriptors, poses, d["edges"], config)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -237,6 +225,31 @@ class TopoMap:
     def load(path):
         with open(path) as fh:
             return TopoMap.from_dict(json.load(fh))
+
+
+def _edge_array(edges, n):
+    """`edges` as an (m, 2) integer array of distinct node-id pairs on n nodes, no self-loops."""
+    e = np.asarray(edges) if len(edges) else np.empty((0, 2), dtype=np.intp)
+    if e.ndim != 2 or e.shape[1] != 2 or e.dtype.kind not in "iu":  # a float id would truncate
+        raise ValueError(f"edges must be pairs of integer node ids, not {e.dtype} {e.shape}")
+    e = e.astype(np.intp, copy=False)
+    repeated = np.ones(len(e), dtype=bool)
+    repeated[np.unique(e[:, 0] * n + e[:, 1], return_index=True)[1]] = False
+    for bad, message in (
+            (((e < 0) | (e >= n)).any(axis=1), "edge ({}, {}) references an invalid node"),
+            (e[:, 0] == e[:, 1], "self-loop on node {}"), (repeated, "duplicate edge ({}, {})")):
+        if bad.any():
+            raise ValueError(message.format(*e[bad.argmax()]))
+    return e
+
+
+def adjacency_matrix(edges, n):
+    """The read-only (n, n) undirected adjacency of `_edge_array` edges: 1 at (s, t) and (t, s)."""
+    e = _edge_array(edges, n)
+    a = np.zeros((n, n))
+    a[e[:, 0], e[:, 1]] = a[e[:, 1], e[:, 0]] = 1.0
+    a.flags.writeable = False
+    return a
 
 
 def build_map_sim(trajectory, cfg: MapConfig) -> TopoMap:
@@ -295,7 +308,7 @@ def nearest_nodes(topo: TopoMap, queries, omega_m: float) -> list:
     if omega_m <= 0:
         raise ValueError("omega_m must be positive")
     queries = list(queries)
-    xyt, nodes = _as_xyt(queries), topo.pose_rows()
+    xyt, nodes = _as_xyt(queries), topo.pose_rows
     out = []
     for first, d in _metric_blocks(xyt, nodes, omega_m):
         near = d <= d.min(axis=1, keepdims=True) * (1.0 + _SLACK)  # within the slack

@@ -269,3 +269,25 @@ def test_eval_nav_on_map_without_poses_fails_loudly(pipeline, tmp_path, capsys):
                  "--trials", "2", "--out", str(tmp_path), "--seed", "2"]) == 2
     assert "has no poses" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "nav_eval.csv")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("edges", [[0, 999]]),      # a node the map does not have
+    ("edges", [[0, 1.9]]),      # a fractional node id
+    ("edges", [[0, 1, 2]]),     # not a pair
+    ("nodes", None),            # no node list at all
+])
+def test_eval_loc_on_malformed_map_exits_2(pipeline, tmp_path, capsys, field, value):
+    with open(os.path.join(pipeline, "map.json")) as fh:
+        blob = json.load(fh)
+    if value is None:
+        del blob[field]
+    else:
+        blob[field] = value
+    bad = os.path.join(tmp_path, "bad_map.json")
+    with open(bad, "w") as fh:
+        json.dump(blob, fh)
+    assert main(["eval-loc", "--map", bad, "--data", os.path.join(pipeline, "sim.json"),
+                 "--method", "oracle", "--out", str(tmp_path), "--seed", "2"]) == 2
+    assert f"bad map artifact {bad}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["bad_map.json"]

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import topoloc.localizer as L
 from topoloc import tensor as T
 from topoloc.tensor import Tensor, grad_check, cross_entropy, softmax_rows
-from topoloc.topo_graph import MapConfig, Pose2D, TopoMap
+from topoloc.topo_graph import MapConfig, Pose2D, TopoMap, adjacency_matrix
 
 
 def small_cfg(**kw):
@@ -140,6 +140,20 @@ def test_gin_rejects_invalid_edges():
         L.gin_aggregate(identity_gin(2), x, [(1, 1)])
 
 
+def test_context_adjacency_is_the_maps_constant_blocks():
+    model = L.Localizer(small_cfg(), seed=5)
+    maps = [random_map(n, 4, seed=n) for n in (3, 1, 5)]
+    ctx = L.make_context(model, *maps)
+    assert type(ctx.adj) is np.ndarray
+    want = np.zeros((9, 9))
+    for m, lo in zip(maps, (0, 3, 4)):
+        want[lo:lo + m.n, lo:lo + m.n] = m.adjacency
+    assert np.array_equal(ctx.adj, want)
+    gin, x = identity_gin(4, eps=0.3), Tensor.param(np.arange(20.0).reshape(5, 4))
+    assert np.array_equal(L.gin_aggregate(gin, x, maps[2].edges).data,
+                          L.gin_aggregate(gin, x, maps[2].adjacency).data)
+
+
 # -- GCLSTM cell -------------------------------------------------------------
 
 
@@ -192,7 +206,7 @@ def test_gclstm_gates_in_unit_interval():
     state = L.GCLSTMState(Tensor.const(rng.normal(size=(n, cfg.d_h))),
                           Tensor.const(rng.normal(size=(n, cfg.d_h))))
     g = model.gclstm.gins
-    adj = L._as_adjacency(n, [(0, 1), (2, 3)])
+    adj = adjacency_matrix([(0, 1), (2, 3)], n)
     i = (L.gin_aggregate(g[0], x, adj) + L.gin_aggregate(g[1], state.h, adj)
          + model.gclstm.w_ci * state.c + model.gclstm.b_i).sigmoid()
     f = (L.gin_aggregate(g[2], x, adj) + L.gin_aggregate(g[3], state.h, adj)

@@ -255,26 +255,32 @@ def test_linear_matches_unfused_expression_and_finite_differences():
 
 
 def gin_inputs(n, eps, seed):
+    """The checked tensors x, eps, w1, b1, w2 and b2, and a constant asymmetric adjacency."""
     rng = np.random.default_rng(seed)
+    x = Tensor.param(rng.normal(size=(n, 3)), name="x")
+    adj = rng.normal(size=(n, n))
     return {
-        "x": Tensor.param(rng.normal(size=(n, 3)), name="x"),
-        "adj": Tensor.param(rng.normal(size=(n, n)), name="adj"),
+        "x": x,
         "eps": Tensor.param(eps, name="eps"),
         "w1": Tensor.param(rng.normal(size=(3, 6)), name="w1"),
         "b1": Tensor.param(rng.normal(size=6), name="b1"),
         "w2": Tensor.param(rng.normal(size=(6, 2)), name="w2"),
         "b2": Tensor.param(rng.normal(size=2), name="b2"),
-    }
+    }, adj
+
+
+def run_gin(p, adj):
+    return gin(p["x"], adj, p["eps"], p["w1"], p["b1"], p["w2"], p["b2"])
 
 
 @pytest.mark.parametrize("n, eps", [(1, 0.0), (1, 0.7), (6, 0.0), (6, -0.4)])
 def test_gin_matches_unfused_expression_and_finite_differences(n, eps):
-    p = gin_inputs(n, eps, seed=31 + n)
-    x, adj = p["x"], p["adj"]
-    unfused = ((x * (p["eps"] + 1.0) + adj @ x) @ p["w1"] + p["b1"]).relu() @ p["w2"] + p["b2"]
-    fused = gin(x, adj, p["eps"], p["w1"], p["b1"], p["w2"], p["b2"])
-    assert np.array_equal(fused.data, unfused.data)
-    report = grad_check(lambda: gin(*p.values()).tanh().sum(), p)
+    p, adj = gin_inputs(n, eps, seed=31 + n)
+    x = p["x"]
+    unfused = (((x * (p["eps"] + 1.0) + Tensor.const(adj) @ x) @ p["w1"] + p["b1"]).relu()
+               @ p["w2"] + p["b2"])
+    assert np.array_equal(run_gin(p, adj).data, unfused.data)
+    report = grad_check(lambda: run_gin(p, adj).tanh().sum(), p)
     assert max(report.values()) < 1e-6
 
 
@@ -373,6 +379,39 @@ def test_batch_norm_matches_unfused_expression_and_finite_differences(n, eps):
     assert max(grad_check(fused, p).values()) < 1e-6
 
 
+def test_batch_norm_of_rows_equal_within_a_segment_is_exactly_beta():
+    # Rounding leaves x - mean(x) of equal rows at about 1e-17 in most blocks, and the
+    # backward divides by sqrt(eps), so a ReLU after the norm took its mask from rounding.
+    # A central difference at beta = 0 straddles that ReLU's kink, which no adjoint
+    # matches, so the values are checked exactly and grad_check runs off the kink.
+    rng = np.random.default_rng(99)
+    seg = Segments((3, 2, 1))
+    equal = np.zeros((6, 4), dtype=bool)
+    equal[:3, :3] = equal[3:5, 0] = equal[5] = True  # a one-row segment is equal too
+    rounded = 0
+    for _ in range(200):
+        xd = rng.normal(size=(6, 4)) * 10.0 ** rng.integers(-3, 4)
+        xd[:3, :3] = xd[0, :3]
+        xd[3:5, 0] = xd[3, 0]
+        rounded += bool((xd[:3, :3] - xd[:3, :3].sum(axis=0) * (1.0 / 3)).any())
+        p = {"x": Tensor.param(xd, name="x"),
+             "gamma": Tensor.param(rng.normal(size=4), name="gamma"),
+             "beta": Tensor.param(np.zeros(4), name="beta")}
+        weights = Tensor.const(rng.normal(size=(6, 4)))
+
+        def loss():
+            return (batch_norm(p["x"], p["gamma"], p["beta"], segments=seg).relu()
+                    * weights).sum()
+
+        out = batch_norm(p["x"], p["gamma"], p["beta"], segments=seg).data
+        assert not out[equal].any() and out[~equal].all()  # exactly beta = 0 where equal
+        grads = gradients(loss, p)
+        assert not grads["x"][equal].any()  # the ReLU is shut at exactly 0
+    assert rounded > 100
+    p["beta"].data = rng.uniform(0.5, 1.0, size=4)  # every ReLU open: a smooth loss
+    assert max(grad_check(loss, p).values()) < 1e-5
+
+
 @pytest.mark.parametrize("n", [1, 2, 7])
 def test_one_segment_ops_are_bit_identical_to_unsegmented(n):
     rng = np.random.default_rng(90 + n)
@@ -438,31 +477,30 @@ def gclstm_inputs(n, seed):
     for a in ("w_ci", "w_cf", "w_co", "b_i", "b_f", "b_c", "b_o"):
         getattr(params, a).data = rng.normal(size=cfg.d_h)
         tensors[a] = getattr(params, a)
-    # an asymmetric weighted adjacency, so that adj and adj.T differ
-    tensors["adj"] = Tensor.param(rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.6),
-                                  name="adj")
+    # a constant asymmetric weighted adjacency, so that adj and adj.T differ
+    adj = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.6)
     tensors["x"] = Tensor.param(rng.normal(size=(n, cfg.d_x)), name="x")
     tensors["h"] = Tensor.param(rng.normal(size=(n, cfg.d_h)), name="h")
     tensors["c"] = Tensor.param(rng.normal(size=(n, cfg.d_h)), name="c")
     weights = [Tensor.const(rng.normal(size=(n, cfg.d_h))) for _ in range(2)]
-    return params, tensors, weights
+    return params, tensors, weights, adj
 
 
 @pytest.mark.parametrize("n", [1, 2, 7])
 def test_gclstm_step_matches_unfused_expression_and_finite_differences(n):
-    params, p, (wh, wc) = gclstm_inputs(n, seed=70 + n)
+    params, p, (wh, wc), adj = gclstm_inputs(n, seed=70 + n)
     state = L.GCLSTMState(p["h"], p["c"])
-    h, new = L.gclstm_step(params, p["x"], p["adj"], state)
-    ref_h, ref_c = gclstm_reference(params, p["x"], p["adj"], state)
+    h, new = L.gclstm_step(params, p["x"], adj, state)
+    ref_h, ref_c = gclstm_reference(params, p["x"], adj, state)
     assert np.array_equal(h.data, ref_h.data) and np.array_equal(new.c.data, ref_c.data)
     assert new.h is h
 
     def fused():
-        h, new = L.gclstm_step(params, p["x"], p["adj"], state)
+        h, new = L.gclstm_step(params, p["x"], adj, state)
         return (h * wh).sum() + (new.c * wc).sum()
 
     def reference():
-        h, c = gclstm_reference(params, p["x"], p["adj"], state)
+        h, c = gclstm_reference(params, p["x"], adj, state)
         return (h * wh).sum() + (c * wc).sum()
 
     assert_gradients_match(fused, reference, p)
@@ -474,17 +512,17 @@ def test_sigmoid_below_minus_709_is_silent_and_exact():
     z = np.array([-1000.0, -745.5, -710.0, -709.0, 0.0, 750.0])
     with np.errstate(over="ignore"):
         want = 1.0 / (1.0 + np.exp(-z))
-    params, p, _ = gclstm_inputs(3, seed=85)
+    params, p, _, adj = gclstm_inputs(3, seed=85)
     for b in (params.b_i, params.b_f, params.b_o):  # gate pre-activations far below -709
         b.data = np.full(b.shape, -1000.0)
     state = L.GCLSTMState(p["h"], p["c"])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert Tensor.param(z).sigmoid().data.tobytes() == want.tobytes()
-        ref_h, ref_c = gclstm_reference(params, p["x"], p["adj"], state)
-        recorded = run_cell(params, p["x"], p["adj"], p["h"], p["c"])
+        ref_h, ref_c = gclstm_reference(params, p["x"], adj, state)
+        recorded = run_cell(params, p["x"], adj, p["h"], p["c"])
         with no_grad():
-            unrecorded = run_cell(params, p["x"], p["adj"], p["h"], p["c"])
+            unrecorded = run_cell(params, p["x"], adj, p["h"], p["c"])
     assert not ref_c.data.any()  # forget and input gates shut
     for h, c, _, _ in (recorded, unrecorded):
         assert h.data.tobytes() == ref_h.data.tobytes()
@@ -492,9 +530,9 @@ def test_sigmoid_below_minus_709_is_silent_and_exact():
 
 
 def test_gclstm_step_in_no_grad_saves_nothing():
-    params, p, _ = gclstm_inputs(4, seed=80)
+    params, p, _, adj = gclstm_inputs(4, seed=80)
     with no_grad():
-        h, new = L.gclstm_step(params, p["x"], p["adj"], L.GCLSTMState(p["h"], p["c"]))
+        h, new = L.gclstm_step(params, p["x"], adj, L.GCLSTMState(p["h"], p["c"]))
     for out in (h, new.c):
         assert not out.requires_grad and out._parents == () and out._backward is None
 
@@ -508,12 +546,12 @@ def run_cell(params, x, adj, h, c):
 
 def unrolled_inputs(n, steps, seed):
     """`gclstm_inputs` with x holding `steps` blocks of n rows, and loss weights per output."""
-    params, p, _ = gclstm_inputs(n, seed)
+    params, p, _, adj = gclstm_inputs(n, seed)
     rng = np.random.default_rng(seed + 1)
     p["x"] = Tensor.param(rng.normal(size=(steps * n, p["x"].shape[1])), name="x")
     d_h = p["h"].shape[1]
     weights = [Tensor.const(rng.normal(size=(rows, d_h))) for rows in (steps * n, steps * n, n, n)]
-    return params, p, weights
+    return params, p, weights, adj
 
 
 def weighted_sum(outputs, weights):
@@ -523,23 +561,23 @@ def weighted_sum(outputs, weights):
 @pytest.mark.parametrize("steps", [1, 3])
 @pytest.mark.parametrize("n", [1, 2, 7])
 def test_unrolled_gclstm_matches_steps_run_one_at_a_time(n, steps):
-    params, p, weights = unrolled_inputs(n, steps, seed=90 + n)
+    params, p, weights, adj = unrolled_inputs(n, steps, seed=90 + n)
 
     def unrolled():
-        return run_cell(params, p["x"], p["adj"], p["h"], p["c"])
+        return run_cell(params, p["x"], adj, p["h"], p["c"])
 
     def one_at_a_time():
         h, c, hs, cs = p["h"], p["c"], [], []
         for t in range(steps):
             x_t = take_rows(p["x"], np.arange(t * n, (t + 1) * n))
-            h, c, _, _ = run_cell(params, x_t, p["adj"], h, c)
+            h, c, _, _ = run_cell(params, x_t, adj, h, c)
             hs.append(h)
             cs.append(c)
         return concat(hs), concat(cs), h, c
 
     for got, want in zip(unrolled(), one_at_a_time()):
         assert np.array_equal(got.data, want.data)
-    h, new = L.gclstm_step(params, p["x"], p["adj"], L.GCLSTMState(p["h"], p["c"]))
+    h, new = L.gclstm_step(params, p["x"], adj, L.GCLSTMState(p["h"], p["c"]))
     outs = unrolled()
     assert np.array_equal(h.data, outs[0].data)
     assert np.array_equal(new.h.data, outs[2].data) and np.array_equal(new.c.data, outs[3].data)
@@ -573,31 +611,31 @@ def test_take_rows_and_last_state_row_blocks_match_finite_differences():
     index = np.array([2, 0, 2, 3, 2])  # row 1 untaken, row 2 taken three times
     w = Tensor.const(rng.normal(size=(5, 3)))
     assert max(grad_check(lambda: (take_rows(x, index) * w).sum(), {"x": x}).values()) < 1e-6
-    params, p, weights = unrolled_inputs(3, 3, seed=97)
+    params, p, weights, adj = unrolled_inputs(3, 3, seed=97)
 
     def last_state():  # the loss reaches the cell only through its row blocks
-        _, _, h_last, c_last = run_cell(params, p["x"], p["adj"], p["h"], p["c"])
+        _, _, h_last, c_last = run_cell(params, p["x"], adj, p["h"], p["c"])
         return weighted_sum((h_last, c_last), weights[2:])
 
     assert max(grad_check(last_state, p).values()) < 1e-6
 
 
 def test_gclstm_step_rejects_rows_that_are_not_whole_steps():
-    params, p, _ = gclstm_inputs(3, seed=82)
+    params, p, _, adj = gclstm_inputs(3, seed=82)
     state = L.GCLSTMState(p["h"], p["c"])
     for rows in (0, 2, 4):
         with pytest.raises(ValueError, match="whole steps"):
-            L.gclstm_step(params, Tensor.const(np.zeros((rows, 3))), p["adj"], state)
+            L.gclstm_step(params, Tensor.const(np.zeros((rows, 3))), adj, state)
 
 
 # -- graph recording and release ----------------------------------------------------
 
 
 def test_no_grad_outputs_record_no_graph():
-    p = gin_inputs(4, 0.2, seed=40)
+    p, adj = gin_inputs(4, 0.2, seed=40)
     with no_grad():
         outs = [p["x"] * 2.0, p["x"] - p["x"], (p["x"] @ p["w1"]).tanh(),
-                linear(p["x"], p["w1"], p["b1"]), gin(*p.values()),
+                linear(p["x"], p["w1"], p["b1"]), run_gin(p, adj),
                 softmax_rows(p["x"]), cross_entropy(p["b1"], 1)]
     for out in outs:
         assert out.requires_grad is False

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import topoloc.topo_graph as G
+from topoloc.map_sampler import sample_submap
 from topoloc.topo_graph import (MapConfig, Pose2D, TopoMap, UNREACHABLE,
                                 build_map_real, build_map_sim, nearest_node,
                                 nearest_nodes, pose_distance, wrap_angle_deg)
@@ -507,6 +508,92 @@ def test_map_rejects_self_loops_and_duplicates():
         TopoMap(np.zeros((2, 2)), None, [(0, 1), (0, 1)])
     with pytest.raises(ValueError):
         TopoMap(np.zeros((2, 2)), None, [(0, 5)])
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1.5), (1, 2)],  # a fractional id, which int() would truncate to node 1
+    [(0, 1.0)],          # a float id, even a whole one
+    [(True, False)],
+    [(0, None)],
+    [(0, 1, 2)],         # not a pair
+    [0, 1],              # a pair, not a list of pairs
+])
+def test_map_rejects_edges_that_are_not_integer_pairs(edges):
+    with pytest.raises(ValueError, match="pairs of integer node ids"):
+        TopoMap(np.zeros((3, 2)), None, edges)
+
+
+def test_map_json_with_fractional_node_id_rejected():
+    blob = TopoMap(np.ones((3, 2)), None, [(0, 1), (1, 2)]).to_dict()
+    blob["edges"][0] = [0, 1.9]
+    with pytest.raises(ValueError, match="integer node ids"):
+        TopoMap.from_dict(blob)
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (2, 3)], r"edge \(2, 3\) references an invalid node"),
+    ([(0, 1), (-1, 0)], r"edge \(-1, 0\) references an invalid node"),
+    ([(0, 1), (2, 2)], "self-loop on node 2"),
+    ([(0, 1), (1, 2), (2, 1), (1, 2)], r"duplicate edge \(1, 2\)"),
+])
+def test_map_edge_errors_name_the_edge(edges, message):
+    with pytest.raises(ValueError, match=message):
+        TopoMap(np.zeros((3, 2)), None, edges)
+
+
+@pytest.mark.parametrize("edges", [[], (), np.empty((0, 2), dtype=int), np.zeros((0, 2))])
+def test_map_accepts_an_empty_edge_list(edges):
+    m = TopoMap(np.zeros((3, 2)), None, edges)
+    assert m.edges == [] and not m.adjacency.any() and m.adjacency.shape == (3, 3)
+
+
+def edge_loop_matrix(n, edges):
+    a = np.zeros((n, n))
+    for s, t in edges:
+        a[s, t] = a[t, s] = 1.0
+    return a
+
+
+def test_adjacency_is_built_once_on_first_use_and_read_only(monkeypatch):
+    built = []
+    build = G.adjacency_matrix
+    monkeypatch.setattr(G, "adjacency_matrix", lambda *args: built.append(args) or build(*args))
+    m = TopoMap(np.zeros((4, 2)), None, [(0, 1), (1, 2), (3, 1)])
+    assert not built  # not with the map
+    a = m.adjacency
+    assert m.adjacency is a and len(built) == 1
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0, 2] = 1.0
+
+
+def test_adjacency_equals_edge_loop_matrix_on_random_maps():
+    rng = np.random.default_rng(23)
+    edgeless = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        density = rng.choice([0.0, 0.1, 0.5, 1.0])
+        edges = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < density]
+        rng.shuffle(edges)
+        edgeless += not edges
+        m = TopoMap(np.zeros((n, 2)), None, edges)
+        assert m.adjacency.dtype == np.float64
+        assert np.array_equal(m.adjacency, edge_loop_matrix(n, edges))
+        assert np.array_equal(m.adjacency, G.adjacency_matrix(edges, n))
+    assert edgeless >= 20
+
+
+def test_submap_adjacency_is_the_parents_block():
+    rng = np.random.default_rng(24)
+    for _ in range(50):
+        n = int(rng.integers(2, 16))
+        edges = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < 0.25]
+        parent = TopoMap(np.zeros((n, 2)), None, edges)
+        targets = rng.integers(n, size=int(rng.integers(1, 4)))
+        res = sample_submap(parent, targets, int(rng.integers(len(set(targets)), n + 1)),
+                            int(rng.integers(2 ** 31)))
+        sel = sorted(res.node_mapping, key=res.node_mapping.get)  # parent node of each row
+        assert np.array_equal(res.submap.adjacency, parent.adjacency[np.ix_(sel, sel)])
 
 
 def test_map_json_roundtrip_lossless(tmp_path):
