@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -36,9 +37,18 @@ def config_hash(obj) -> str:
 
 
 def _require(path, what):
-    if not os.path.exists(path):
+    if path is None or not os.path.exists(path):
         raise CliError(f"missing {what}: {path}")
     return path
+
+
+@contextmanager
+def _reading(what, path):
+    """A KeyError, TypeError or ValueError (bad JSON too) in the block is a CliError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"bad {what} {path}: {exc!r}") from exc
 
 
 def _load_json(path, what):
@@ -64,16 +74,14 @@ def _config(args, defaults, build):
 
     `seed` is not a config key: --seed alone sets it, in `defaults`.
     """
-    overrides = _load_json(args.config, "config") if args.config else {}
-    if not isinstance(overrides, dict):
-        raise CliError(f"config {args.config} must hold a JSON object")
-    unknown = sorted(overrides.keys() - (defaults.keys() - {"seed"}))
-    if unknown:
-        raise CliError(f"unknown config keys {unknown} in {args.config}")
-    try:
+    with _reading("config", args.config):
+        overrides = _load_json(args.config, "config") if args.config else {}
+        if not isinstance(overrides, dict):
+            raise CliError(f"config {args.config} must hold a JSON object")
+        unknown = sorted(overrides.keys() - (defaults.keys() - {"seed"}))
+        if unknown:
+            raise CliError(f"unknown config keys {unknown} in {args.config}")
         return build({**defaults, **overrides})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"bad config {args.config}: {exc}") from exc
 
 
 # -- commands ----------------------------------------------------------------
@@ -91,8 +99,8 @@ def cmd_gen_world(args):
 
 
 def load_world(path):
-    blob = _load_json(path, "world artifact")
-    return W.generate_world(W.WorldSpec.from_dict(blob["spec"]))
+    with _reading("world artifact", path):
+        return W.generate_world(W.WorldSpec.from_dict(_load_json(path, "world artifact")["spec"]))
 
 
 def default_obs_model(world, noise_sigma=0.05):
@@ -134,12 +142,11 @@ def cmd_collect(args):
 
 
 def load_trajectories(path):
-    blob = _load_json(path, "trajectory artifact")
-    out = []
-    for t in blob["trajectories"]:
-        poses = [Pose2D.from_dict(p) for p in t["poses"]]
-        out.append((poses, np.array(t["observations"], dtype=np.float64)))
-    return blob["domain"], out
+    with _reading("trajectory artifact", path):
+        blob = _load_json(path, "trajectory artifact")
+        return blob["domain"], [([Pose2D.from_dict(p) for p in t["poses"]],
+                                 np.array(t["observations"], dtype=np.float64))
+                                for t in blob["trajectories"]]
 
 
 def cmd_build_map(args):
@@ -162,10 +169,8 @@ def cmd_build_map(args):
 
 
 def load_map(path):
-    try:
+    with _reading("map artifact", path):
         return TopoMap.from_dict(_load_json(path, "map artifact"))
-    except (KeyError, TypeError, ValueError) as exc:  # a malformed map
-        raise CliError(f"bad map artifact {path}: {exc!r}") from exc
 
 
 def build_samples(topo, sim_trajs, mc):
@@ -205,7 +210,8 @@ def make_localizer(args, topo):
         return E.NearestDescriptorLocalizer()
     if args.method == "oracle":
         return E.OracleLocalizer(omega)
-    model = L.Localizer.from_checkpoint(_require(args.model, "model checkpoint"))
+    with _reading("model checkpoint", args.model):
+        model = L.Localizer.from_checkpoint(_require(args.model, "model checkpoint"))
     width = topo.descriptors.shape[1]
     if model.cfg.d_obs != width:
         raise CliError(f"checkpoint {args.model} has d_obs={model.cfg.d_obs} but map "

@@ -181,13 +181,12 @@ def _cell_gins(params: GCLSTMParams):
 def gclstm_step(params: GCLSTMParams, x: Tensor, adj, state: GCLSTMState, stacked=None):
     """The GCLSTM over the steps stacked in `x`: (h of every step, state after the last).
 
-    `adj` is a constant adjacency matrix, or an edge list for `adjacency_matrix`.
+    `adj` is the constant adjacency matrix of the map's rows.
     `stacked` is the `gclstm_stack` a `MapContext` holds; without it the cell stacks.
     """
     n = state.h.shape[0]
     if x.shape[0] < n or x.shape[0] % n:
         raise ValueError(f"{x.shape[0]} input rows are not whole steps of the {n}-row state")
-    adj = adj if isinstance(adj, np.ndarray) else adjacency_matrix(adj, n)
     h, _, h_last, c_last = gclstm_cell(x, state.h, state.c, adj, _cell_gins(params),
                                        params.w_ci, params.w_cf, params.w_co, params.b_i,
                                        params.b_f, params.b_c, params.b_o, stacked)

@@ -14,14 +14,14 @@ inputs.  It releases each node's parents and closure as soon as the node's
 adjoint has been pushed to them, so the graph is freed while backward()
 runs; a second backward() through the same graph raises RuntimeError.
 
-Besides elementwise, reduction and reshaping primitives, fused ops carry
-the localizer's layers and loss with one graph node each, with hand-written
-backward: ``linear``, ``gin``, ``take_rows``, ``batch_norm``,
-``cross_entropy`` and ``gclstm_cell``, whose one node spans every step of a
-sequence, with h and c of all steps as column blocks.  ``gin`` and ``gclstm_cell``
-take the map's adjacency as a constant array, which gets no adjoint.  Each computes its
-forward in the same operation order as the unfused expression of primitives
-(the cell: as its steps and its stacked GINs run one at a time), so their values are bit-identical.
+Besides elementwise, reduction and reshaping primitives, fused ops carry the localizer's
+layers and loss with one graph node each, with hand-written backward: ``linear``, ``gin``,
+``take_rows``, ``batch_norm``, ``cross_entropy`` and ``gclstm_cell``, whose one node spans
+every step of a sequence, with h and c of all steps as column blocks and each side's four
+GIN layers run as one call stacked on a leading axis, forward and backward.  ``gin`` and
+``gclstm_cell`` take the map's adjacency as a constant array, which gets no adjoint.  Each
+computes its forward in the same operation order as the unfused expression of primitives
+(the cell: as its steps and GIN layers run one at a time), so their values are bit-identical.
 Their backwards sum each parameter adjoint over rows in one ``ones @ g`` or ``einsum``.
 No model path records ``sigmoid``, ``tanh``, ``exp``, ``sqrt``, ``mean``,
 ``-`` or ``/``; they stay because the tests build the fused ops' references
@@ -355,15 +355,11 @@ def concat(tensors, axis=0):
     datas = [t.data for t in tensors]
     out = Tensor(np.concatenate(datas, axis=axis))
     if _recording(*tensors):
-        sizes = [d.shape[axis] for d in datas]
+        bounds = np.cumsum([d.shape[axis] for d in datas])[:-1]
         def bwd(g):
-            offset = 0
-            for t, s in zip(tensors, sizes):
+            for t, part in zip(tensors, np.split(g, bounds, axis=axis)):
                 if t.requires_grad:
-                    idx = [slice(None)] * g.ndim
-                    idx[axis] = slice(offset, offset + s)
-                    t._accum(g[tuple(idx)])
-                offset += s
+                    t._accum(part)
         out._record(tensors, bwd)
     return out
 
@@ -402,18 +398,24 @@ def _gin_forward(u, au, scale, w1, b1, w2, b2, agg=None, hidden=None, out=None):
     return agg, hidden, out
 
 
-def _gin_backprop(g, hidden, eps, w1, b1, w2, b2, g_hidden=None, g_agg=None):
-    """Adjoints of a GIN layer's hidden pre-activation and `agg` from its output's."""
-    g_hidden = np.multiply(g @ w2.data.T, hidden > 0.0, out=g_hidden)
-    return g_hidden, np.matmul(g_hidden, w1.data.T, out=g_agg)
+def _gin_backprop(g, hidden, w1, w2, g_hidden=None, g_agg=None):
+    """Adjoints of GIN layers' hidden pre-activation and `agg`; stacked arrays run several."""
+    g_hidden = np.matmul(g, w2.swapaxes(-1, -2), out=g_hidden)
+    g_hidden *= hidden > 0.0
+    return g_hidden, np.matmul(g_hidden, w1.swapaxes(-1, -2), out=g_agg)
 
 
-def _gin_param_adjoints(g, g_hidden, g_agg, u, agg, hidden, eps, w1, b1, w2, b2):
-    """Accumulate a GIN layer's parameter adjoints over all rows of its input `u`."""
-    for t, gt in ((w2, hidden.T @ g), (b2, np.ones(len(g)) @ g), (w1, agg.T @ g_hidden),
-                  (b1, np.ones(len(g)) @ g_hidden), (eps, np.einsum("ij,ij->", g_agg, u))):
-        if t.requires_grad:
-            t._accum(gt)
+def _gin_param_adjoints(layers, u, g, g_hidden, g_agg, agg, hidden):
+    """Accumulate the adjoints of GIN `layers`, stacked on the arrays' leading axis, over `u`."""
+    ones = np.ones(g.shape[-2])
+    w2, b2 = np.matmul(hidden.swapaxes(-1, -2), g), np.matmul(ones, g)
+    w1, b1 = np.matmul(agg.swapaxes(-1, -2), g_hidden), np.matmul(ones, g_hidden)
+    for k, params in enumerate(layers):
+        # eps layer by layer: a 3-D einsum over all layers rounds differently at many rows
+        gts = (np.einsum("ij,ij->", g_agg[k], u), w1[k], b1[k], w2[k], b2[k])
+        for t, gt in zip(params, gts):
+            if t.requires_grad:
+                t._accum(gt)
 
 
 def gin(x, adj, eps, w1, b1, w2, b2):
@@ -424,8 +426,9 @@ def gin(x, adj, eps, w1, b1, w2, b2):
     out = Tensor(out)
     if _recording(x, *params):
         def bwd(g):
-            g_hidden, g_agg = _gin_backprop(g, hidden, *params)
-            _gin_param_adjoints(g, g_hidden, g_agg, x.data, agg, hidden, *params)
+            g_hidden, g_agg = _gin_backprop(g, hidden, w1.data, w2.data)
+            _gin_param_adjoints([params], x.data,
+                                *(a[None] for a in (g, g_hidden, g_agg, agg, hidden)))
             if x.requires_grad:
                 x._accum(g_agg * scale + adj.T @ g_agg)
         out._record((x,) + params, bwd)
@@ -500,15 +503,15 @@ def gclstm_cell(x, h0, c0, adj, gins, w_ci, w_cf, w_co, b_i, b_f, b_c, b_o, stac
         o = sigmoid(G6(x_t) + G7(h_{t-1}) + w_co * c_t + b_o)
         h_t = o * tanh(c_t)
 
-    The four h-side layers run as one call stacked on a leading axis, as do
-    the four x-side layers of a one-step call; the x-side layers of several
-    steps run once over all of them, one layer at a time, multiplying each
-    step's block on its own.  So every value is that of the steps and layers
-    run one at a time.  `stacked` is `gclstm_stack` of the current parameter
-    values for n rows; without it the cell stacks them itself.  h and c of
-    all steps are the node's column blocks and the last step's h and c its
-    row blocks (h and c themselves for one step).  The backward is one
-    reverse-time loop, then the parameter adjoints are taken once over all rows.
+    Each side's four GIN layers run as one call stacked on a leading axis,
+    forward and backward: the x side once over all steps, the h side once per
+    step.  A stacked call multiplies each layer's and step's block on its own,
+    so every value is that of the steps and layers run one at a time.
+    `stacked` is `gclstm_stack` of the current parameter values for n rows;
+    without it the cell stacks them itself.  h and c of all steps are the
+    node's column blocks and the last step's h and c its row blocks (h and c
+    themselves for one step).  The backward is one reverse-time loop, then
+    the parameter adjoints are taken once over all rows.
     """
     inputs = ((x, h0, c0) + tuple(t for p in gins for t in p)
               + (w_ci, w_cf, w_co, b_i, b_f, b_c, b_o))
@@ -517,22 +520,16 @@ def gclstm_cell(x, h0, c0, adj, gins, w_ci, w_cf, w_co, b_i, b_f, b_c, b_o, stac
     n, d = hd.shape
     xw, hw, b_ifc = gclstm_stack(gins, b_i, b_f, b_c, n) if stacked is None else stacked
     steps = xd.shape[0] // n
-    x_steps = xd if steps == 1 else xd.reshape(steps, n, -1)
-    ax = adj @ x_steps
+    x_steps = xd.reshape(steps, n, -1)
     zx = np.empty((4, steps, n, d))  # the x-side layers' outputs
-    x_layers, gates = [], []  # without a graph to record, intermediates are dropped once used
-    for j in [slice(None)] if steps == 1 else range(4):
-        agg, hidden, _ = _gin_forward(x_steps, ax, *(a[j] for a in xw),
-                                      out=zx[:, 0] if steps == 1 else zx[j])
-        if recording:
-            x_layers += zip(xw[0], agg, hidden) if steps == 1 else [(xw[0][j], agg, hidden)]
-    agg = hidden = None  # unless recorded, the last layer's are released here
+    # each side's agg and hidden rows, kept to record; the backward empties the list
+    saved = [_gin_forward(x_steps, adj @ x_steps, *(a[:, None] for a in xw), out=zx)[:2]]
+    if recording:  # the h side's, filled in step by step
+        saved.append((np.empty((4, steps * n, d)), np.empty((4, steps * n, hw[1].shape[2]))))
+    gates, saved = [], saved if recording else None
     out = np.empty(((steps + 1) * n, 2 * d)) if recording or steps > 1 else None
     if out is not None:  # node rows: the initial state, then one block per step; h | c columns
         out[:n, :d], out[:n, d:] = hd, cd
-    if recording:  # each step's agg and hidden rows of the h-side layers
-        h_agg, h_hidden = np.empty((4, steps * n, d)), np.empty((4, steps * n, hw[1].shape[2]))
-        h_saved = list(zip(h_agg, h_hidden))
     with np.errstate(over="ignore"):  # see _sigmoid; one state for all steps
         for t in range(steps):
             rows = slice(t * n, (t + 1) * n)
@@ -540,7 +537,7 @@ def gclstm_cell(x, h0, c0, adj, gins, w_ci, w_cf, w_co, b_i, b_f, b_c, b_o, stac
             # order of the equations (the GIN terms commute); without a graph to record,
             # the h-side layers' output overwrites their sums, no longer needed by then
             z = np.empty((4, n, d))
-            _gin_forward(hd, adj @ hd, *hw, *((h_agg[:, rows], h_hidden[:, rows], z) if recording
+            _gin_forward(hd, adj @ hd, *hw, *((*(a[:, rows] for a in saved[1]), z) if recording
                                             else (z, None, z)))
             z += zx[:, t]
             z[0] += w_ci.data * cd
@@ -564,14 +561,14 @@ def gclstm_cell(x, h0, c0, adj, gins, w_ci, w_cf, w_co, b_i, b_f, b_c, b_o, stac
     if not recording:  # the blocks, without copying them
         h, c = Tensor(h), Tensor(c)
         return (h, c, h, c) if out is None else (Tensor(out[n:, :d]), Tensor(out[n:, d:]), h, c)
+    xw, hw = ((s, w1, w2) for s, w1, _, w2, _ in (xw, hw))  # not the row-tiled biases
 
     def bwd(g):
         g = g[n:]
         h_prev, c_prev, c_all = out[:-n, :d], out[:-n, d:], out[n:, d:]
         dz = np.empty((4, steps * n, d))  # adjoints of the i, f, candidate and o pre-activations
-        g_hidden = [np.empty_like(hidden) for _, hidden in h_saved]
-        g_agg = [np.empty((steps * n, d)) for _ in range(4)]
-        scales = [gins[k][0].data + 1.0 for k in range(1, 8, 2)]
+        agg, hidden = saved.pop()  # the h side's
+        g_hidden, g_agg = np.empty_like(hidden), np.empty_like(agg)
         dh = dc = None
         for t in reversed(range(steps)):
             rows = slice(t * n, (t + 1) * n)
@@ -585,31 +582,24 @@ def gclstm_cell(x, h0, c0, adj, gins, w_ci, w_cf, w_co, b_i, b_f, b_c, b_o, stac
             dzf = np.multiply(dct * c_prev[rows] * f, 1.0 - f, out=dz[1, rows])
             np.multiply(dct * i, 1.0 - cand * cand, out=dz[2, rows])
             dc = dct * f + dzi * w_ci.data + dzf * w_cf.data
-            ga = [_gin_backprop(dz[j, rows], h_saved[j][1][rows], *gins[2 * j + 1],
-                                g_hidden[j][rows], g_agg[j][rows])[1] for j in range(4)]
-            dh = (ga[0] * scales[0] + ga[1] * scales[1] + ga[2] * scales[2]
-                  + ga[3] * scales[3] + adj.T @ (ga[0] + ga[1] + ga[2] + ga[3]))
+            ga = _gin_backprop(dz[:, rows], hidden[:, rows], hw[1], hw[2], g_hidden[:, rows],
+                               g_agg[:, rows])[1]
+            # a sum over the leading axis adds the layers in order, left to right
+            dh = (ga * hw[0]).sum(axis=0) + adj.T @ ga.sum(axis=0)
         peepholes = [(t, np.einsum("ij,ij->j", a, c)) for t, a, c in
                      ((w_ci, dz[0], c_prev), (w_cf, dz[1], c_prev), (w_co, dz[3], c_all))]
         biases = zip((b_i, b_f, b_c, b_o), np.ones(steps * n) @ dz)
         for t, gt in [(h0, dh), (c0, dc), *peepholes, *biases]:
             if t.requires_grad:
                 t._accum(gt)
-        x_agg = []
-        for j in range(4):  # each layer's saved rows are released once used
-            scale, agg, hidden = x_layers[j]
-            x_layers[j], agg, hidden = (scale,), agg.reshape(xd.shape), hidden.reshape(len(xd), -1)
-            gx_hidden, gx_agg = _gin_backprop(dz[j], hidden, *gins[2 * j])
-            _gin_param_adjoints(dz[j], gx_hidden, gx_agg, xd, agg, hidden, *gins[2 * j])
-            x_agg.append(gx_agg)
-            _gin_param_adjoints(dz[j], g_hidden[j], g_agg[j], h_prev, *h_saved[j],
-                                *gins[2 * j + 1])
-            h_saved[j] = g_hidden[j] = None
+        _gin_param_adjoints(gins[1::2], h_prev, dz, g_hidden, g_agg, agg, hidden)
+        ga = g_hidden = g_agg = None  # released with the h side's saved rows, for a lower peak
+        agg, hidden = (a.reshape(4, len(xd), -1) for a in saved.pop())
+        g_hidden, g_agg = _gin_backprop(dz, hidden, xw[1], xw[2])
+        _gin_param_adjoints(gins[0::2], xd, dz, g_hidden, g_agg, agg, hidden)
         if x.requires_grad:
-            gsum = x_agg[0] + x_agg[1] + x_agg[2] + x_agg[3]
-            x._accum(x_agg[0] * x_layers[0][0] + x_agg[1] * x_layers[1][0]
-                     + x_agg[2] * x_layers[2][0] + x_agg[3] * x_layers[3][0]
-                     + (adj.T @ gsum.reshape(steps, n, -1)).reshape(gsum.shape))
+            gsum = g_agg.sum(axis=0).reshape(steps, n, -1)
+            x._accum((g_agg * xw[0]).sum(axis=0) + (adj.T @ gsum).reshape(xd.shape))
 
     # h and c of every step, then of the last step unless that is every step
     rows = [slice(n, None)] + ([slice(steps * n, None)] if steps > 1 else [])

@@ -185,8 +185,8 @@ class TopoMap:
 
     @cached_property
     def adjacency(self):
-        """The map's read-only `adjacency_matrix`, built on first use."""
-        return adjacency_matrix(self._pairs, self.n)
+        """The map's read-only `adjacency_matrix`, built on first use from its validated edges."""
+        return _adjacency(self._pairs, self.n)
 
     # -- persistence ---------------------------------------------------------
 
@@ -245,7 +245,11 @@ def _edge_array(edges, n):
 
 def adjacency_matrix(edges, n):
     """The read-only (n, n) undirected adjacency of `_edge_array` edges: 1 at (s, t) and (t, s)."""
-    e = _edge_array(edges, n)
+    return _adjacency(_edge_array(edges, n), n)
+
+
+def _adjacency(e, n):
+    """`adjacency_matrix` of an already validated (m, 2) edge array."""
     a = np.zeros((n, n))
     a[e[:, 0], e[:, 1]] = a[e[:, 1], e[:, 0]] = 1.0
     a.flags.writeable = False

@@ -291,3 +291,36 @@ def test_eval_loc_on_malformed_map_exits_2(pipeline, tmp_path, capsys, field, va
                  "--method", "oracle", "--out", str(tmp_path), "--seed", "2"]) == 2
     assert f"bad map artifact {bad}" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["bad_map.json"]
+
+
+_WORLD_WITHOUT_SEGMENTS = {"spec": {"half_width": 1.5, "d_obs": 16, "bumps_per_segment": 6,
+                                    "seed": 0}}
+
+
+@pytest.mark.parametrize("what, content, argv", [
+    ("model checkpoint", {"manifest": {"d_obs": 16, "bogus": 1}, "params": {}},
+     ["eval-loc", "--map", "MAP", "--data", "SIM", "--model", "BAD"]),
+    ("model checkpoint", {"manifest": {"d_obs": 16}, "params": {}},
+     ["eval-loc", "--map", "MAP", "--data", "SIM", "--model", "BAD"]),
+    ("world artifact", _WORLD_WITHOUT_SEGMENTS, ["collect", "--world", "BAD"]),
+    ("trajectory artifact", "{not json",
+     ["eval-loc", "--map", "MAP", "--data", "BAD", "--method", "oracle"]),
+    ("config", "{not json", ["gen-world", "--config", "BAD"]),
+], ids=["checkpoint-unknown-field", "checkpoint-no-params", "world-without-segments",
+        "trajectories-not-json", "config-not-json"])
+def test_malformed_artifact_exits_2(pipeline, tmp_path, capsys, what, content, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content if isinstance(content, str) else json.dumps(content))
+    paths = {"BAD": str(bad), "MAP": os.path.join(pipeline, "map.json"),
+             "SIM": os.path.join(pipeline, "sim.json")}
+    assert main([paths.get(a, a) for a in argv] + ["--out", str(tmp_path)]) == 2
+    assert f"bad {what} {bad}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["bad.json"]
+
+
+def test_model_method_without_checkpoint_exits_2(pipeline, tmp_path, capsys):
+    assert main(["eval-loc", "--map", os.path.join(pipeline, "map.json"),
+                 "--data", os.path.join(pipeline, "sim.json"), "--method", "ours",
+                 "--out", str(tmp_path)]) == 2
+    assert "missing model checkpoint: None" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)

@@ -177,7 +177,7 @@ def test_gclstm_zero_parameter_fixed_point():
     n = 5
     x = Tensor.const(np.random.default_rng(12).normal(size=(n, cfg.d_x)))
     state = L.reset_state(n, cfg.d_h)
-    h, new = L.gclstm_step(params, x, [], state)
+    h, new = L.gclstm_step(params, x, adjacency_matrix([], n), state)
     # all gates sit at sigmoid(0)=0.5, so the cell state and output stay zero
     assert np.all(h.data == 0.0)
     assert np.all(new.c.data == 0.0)
@@ -193,7 +193,7 @@ def test_gclstm_saturation_retains_memory():
     c_prev = rng.normal(size=(n, cfg.d_h))
     state = L.GCLSTMState(Tensor.const(np.zeros((n, cfg.d_h))), Tensor.const(c_prev))
     x = Tensor.const(rng.normal(size=(n, cfg.d_x)))
-    _, new = L.gclstm_step(params, x, [(0, 1)], state)
+    _, new = L.gclstm_step(params, x, adjacency_matrix([(0, 1)], n), state)
     np.testing.assert_allclose(new.c.data, c_prev, atol=1e-3)
 
 
@@ -223,7 +223,7 @@ def test_gclstm_cell_gradients_match_finite_differences():
     x_np = rng.normal(size=(n, cfg.d_x))
     h0 = rng.normal(size=(n, cfg.d_h))
     c0 = rng.normal(size=(n, cfg.d_h))
-    edges = [(i, (i + 1) % n) for i in range(n)]
+    adj = adjacency_matrix([(i, (i + 1) % n) for i in range(n)], n)
     tensors = []
     for g in params.gins:
         tensors += [g.w1, g.b1, g.w2, g.b2, g.eps]
@@ -232,7 +232,7 @@ def test_gclstm_cell_gradients_match_finite_differences():
 
     def f():
         state = L.GCLSTMState(Tensor.const(h0), Tensor.const(c0))
-        h, _ = L.gclstm_step(params, Tensor.const(x_np), edges, state)
+        h, _ = L.gclstm_step(params, Tensor.const(x_np), adj, state)
         return (h * h).sum()
 
     report = grad_check(f, {f"p{i}": t for i, t in enumerate(tensors)})

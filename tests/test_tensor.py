@@ -284,6 +284,34 @@ def test_gin_matches_unfused_expression_and_finite_differences(n, eps):
     assert max(report.values()) < 1e-6
 
 
+@pytest.mark.parametrize("n", [124, 1216])  # the navigate map; a 16-step training group
+def test_stacked_gin_adjoints_equal_each_layer_alone(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 16))
+    adj = (rng.random((n, n)) < 4.0 / n).astype(np.float64)
+    alone, stacked = [], []
+    for _ in range(4):
+        data = (np.array(rng.uniform(-0.5, 0.5)), rng.normal(size=(16, 32)),
+                rng.normal(size=32), rng.normal(size=(32, 32)), rng.normal(size=32))
+        alone.append([Tensor.param(a) for a in data])
+        stacked.append([Tensor.param(a) for a in data])
+    g = rng.normal(size=(4, n, 32))
+    grads = []
+    for layer, gk in zip(alone, g):
+        xk = Tensor.param(x)
+        (gin(xk, adj, *layer) * Tensor.const(gk)).sum().backward()
+        grads.append(xk.grad)
+    eps, w1, b1, w2, b2 = (np.array([t.data for t in ts]) for ts in zip(*stacked))
+    scale = (eps + 1.0)[:, None, None]
+    agg, hidden, _ = T._gin_forward(x, adj @ x, scale, w1, b1[:, None], w2, b2[:, None])
+    g_hidden, g_agg = T._gin_backprop(g, hidden, w1, w2)
+    T._gin_param_adjoints(stacked, x, g, g_hidden, g_agg, agg, hidden)
+    for k in range(4):
+        assert (g_agg[k] * scale[k] + adj.T @ g_agg[k]).tobytes() == grads[k].tobytes()
+        for a, s in zip(alone[k], stacked[k]):
+            assert np.asarray(s.grad).tobytes() == np.asarray(a.grad).tobytes()
+
+
 # Unfused references: the composed expressions that the fused batch_norm,
 # cross_entropy and GCLSTM cell replaced, with the two primitives (log, pick)
 # that only the composed cross-entropy used.

@@ -556,8 +556,8 @@ def edge_loop_matrix(n, edges):
 
 def test_adjacency_is_built_once_on_first_use_and_read_only(monkeypatch):
     built = []
-    build = G.adjacency_matrix
-    monkeypatch.setattr(G, "adjacency_matrix", lambda *args: built.append(args) or build(*args))
+    build = G._adjacency
+    monkeypatch.setattr(G, "_adjacency", lambda *args: built.append(args) or build(*args))
     m = TopoMap(np.zeros((4, 2)), None, [(0, 1), (1, 2), (3, 1)])
     assert not built  # not with the map
     a = m.adjacency
@@ -565,6 +565,15 @@ def test_adjacency_is_built_once_on_first_use_and_read_only(monkeypatch):
     assert not a.flags.writeable
     with pytest.raises(ValueError):
         a[0, 2] = 1.0
+
+
+def test_map_edges_are_validated_once(monkeypatch):
+    checked = []
+    check = G._edge_array
+    monkeypatch.setattr(G, "_edge_array", lambda *args: checked.append(args) or check(*args))
+    m = TopoMap(np.zeros((4, 2)), None, [(0, 1), (1, 2), (3, 1)])
+    m.adjacency
+    assert len(checked) == 1  # by the map, not again by its adjacency
 
 
 def test_adjacency_equals_edge_loop_matrix_on_random_maps():
