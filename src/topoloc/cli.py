@@ -157,7 +157,8 @@ def cmd_build_map(args):
                        f"holds {len(trajs)} trajectories")
     poses, obs = trajs[args.index]
     if args.style == "sim":
-        topo = build_map_sim(list(zip(obs, poses)), mc)
+        with _reading("trajectory artifact", args.trajectories):  # say, a non-finite pose
+            topo = build_map_sim(list(zip(obs, poses)), mc)
     else:
         topo = build_map_real(obs, mc.m_stride)
     os.makedirs(args.out, exist_ok=True)

@@ -368,8 +368,10 @@ def concat(tensors, axis=0):
 
 
 def linear(x, w, b):
-    """``x @ w + b`` as one graph node."""
-    out = Tensor(x.data @ w.data + b.data)
+    """``x @ w + b`` as one graph node.  A one-column `w` is one dot product per row,
+    whose rounding, unlike a BLAS matrix-vector product's, does not depend on the row count."""
+    y = np.einsum("ij,j->i", x.data, w.data[:, 0])[:, None] if w.shape[1] == 1 else x.data @ w.data
+    out = Tensor(y + b.data)
     if _recording(x, w, b):
         def bwd(g):
             if x.requires_grad:

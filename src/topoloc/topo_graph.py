@@ -1,16 +1,15 @@
 """Topological maps: construction from trajectories, pose metric, graph queries.
 
 A map is a directed graph whose nodes carry an observation descriptor and,
-for simulator-style maps, a planar pose.  Distance between poses combines
-Euclidean position with yaw difference weighted by omega_m.
-
-Pose-metric queries against a map (`nearest_nodes`, and the loop closures of
-`build_map_sim`) make one array pass over the nodes' (x, y, theta) rows,
-cached on the map.  `np.hypot` may differ from `math.hypot` in the last bit,
-so the pairs within a small relative slack of a query's minimum, or of the
-loop-closure threshold, are decided again in one pass with `math.hypot`
-(a query takes the lowest node among its minima): every answer equals that
-of a loop over `pose_distance`.
+for simulator-style maps, a planar pose.  The distance between poses is one
+formula, ``sqrt(dx*dx + dy*dy) + omega_m * min(|r|, 360 - |r|)`` with
+``r = fmod(dtheta, 360)``: `pose_distance` evaluates it on two poses, and the
+pose-metric queries (`nearest_nodes`, and the loop closures of
+`build_map_sim`) in one array pass over the node poses' (x, y, theta) rows,
+which the map builds at construction.  Both perform the same IEEE operations
+in the same order, so every answer equals that of a loop over
+`pose_distance`.  Non-finite poses are rejected where they enter: as map
+nodes, as a trajectory to build a map from, or as queries.
 
 `TopoMap.bfs` is the one graph search: hop counts and the first-discovery
 parents from a source, over directed edges or over edges in either
@@ -33,9 +32,6 @@ import numpy as np
 
 UNREACHABLE = -1
 
-# Relative slack within which the array pose metric may differ from
-# pose_distance: np.hypot against math.hypot, then one rounded add.
-_SLACK = 1e-9
 # Metric entries per array pass, which bounds its temporaries on a large map.
 _BLOCK = 1 << 16
 
@@ -71,8 +67,8 @@ def pose_distance(a: Pose2D, b: Pose2D, omega_m: float) -> float:
     """Position distance plus omega_m times yaw difference wrapped to [0, 180]."""
     if omega_m <= 0:
         raise ValueError("omega_m must be positive")
-    dtheta = abs(wrap_angle_deg(a.theta - b.theta))
-    return math.hypot(a.x - b.x, a.y - b.y) + omega_m * dtheta
+    dx, dy = a.x - b.x, a.y - b.y
+    return math.sqrt(dx * dx + dy * dy) + omega_m * abs(wrap_angle_deg(a.theta - b.theta))
 
 
 @dataclass
@@ -112,6 +108,9 @@ class TopoMap:
         self.poses = None if poses is None else list(poses)
         if poses is not None and len(self.poses) != n:
             raise ValueError("pose count must match node count")
+        # the node poses as a (3, n) array of x, y and theta rows; None without poses
+        self.pose_rows = (None if poses is None
+                          else _finite_xyt(self.poses, "non-finite map pose {}"))
         self._pairs = _edge_array(edges, n)  # validated once, as one (m, 2) array
         self.edges = list(map(tuple, self._pairs.tolist()))
         self.config = config
@@ -124,16 +123,6 @@ class TopoMap:
     def _check_id(self, i):
         if not 0 <= i < self.n:
             raise IndexError(f"node id {i} out of range for map with {self.n} nodes")
-
-    @cached_property
-    def pose_rows(self):
-        """The node poses as a (3, n) array of x, y and theta rows; built on first use."""
-        if not self.has_poses:
-            raise ValueError("pose queries require a map with poses")
-        xyt = _as_xyt(self.poses)
-        if not np.isfinite(xyt).all():
-            raise ValueError("map poses contain non-finite values")
-        return xyt
 
     @cached_property
     def _adjacent(self):
@@ -266,21 +255,19 @@ def build_map_sim(trajectory, cfg: MapConfig) -> TopoMap:
     """
     if not trajectory:
         raise ValueError("trajectory must be non-empty")
+    xyt = _finite_xyt([p for _, p in trajectory], "non-finite trajectory pose {}")
     taken = [0]
     for k in range(1, len(trajectory)):
         if pose_distance(trajectory[k][1], trajectory[taken[-1]][1], cfg.omega_m) > cfg.alpha_th:
             taken.append(k)
     descriptors = np.array([trajectory[k][0] for k in taken], dtype=np.float64)
     poses = [trajectory[k][1] for k in taken]
-    xyt = _as_xyt(poses)
+    xyt = xyt[:, taken]
     closures = [[] for _ in poses]
     for first, d in _metric_blocks(xyt, xyt, cfg.omega_m):
         rows = np.arange(first, first + d.shape[0])[:, None]
-        near = (d <= cfg.alpha_th * (1.0 + _SLACK)) & (np.arange(len(poses)) < rows - 1)
-        i, j = np.nonzero(near)
-        i += first  # of the pairs near the threshold, those within it by the exact metric
-        within = _metric(xyt[:, i], xyt[:, j], cfg.omega_m, exact=True) <= cfg.alpha_th
-        for node, earlier in zip(i[within].tolist(), j[within].tolist()):
+        i, j = np.nonzero((d <= cfg.alpha_th) & (np.arange(len(poses)) < rows - 1))
+        for node, earlier in zip((i + first).tolist(), j.tolist()):
             closures[node].append(earlier)
     edges = []
     for i in range(1, len(poses)):
@@ -312,23 +299,10 @@ def nearest_nodes(topo: TopoMap, queries, omega_m: float) -> list:
     if omega_m <= 0:
         raise ValueError("omega_m must be positive")
     queries = list(queries)
-    xyt, nodes = _as_xyt(queries), topo.pose_rows
-    out = []
-    for first, d in _metric_blocks(xyt, nodes, omega_m):
-        near = d <= d.min(axis=1, keepdims=True) * (1.0 + _SLACK)  # within the slack
-        count = near.sum(axis=1)
-        if not count.all():  # a NaN metric is below no minimum
-            raise ValueError(f"query pose {queries[first + int(count.argmin())]} is not finite")
-        node = near.argmax(axis=1)  # each query's first, lowest, near node
-        tied = np.flatnonzero(count > 1)
-        if len(tied):  # the exact metric decides, then the lowest node among its minima
-            r, j = np.nonzero(near[tied])
-            q = tied[r]
-            exact = _metric(xyt[:, first + q], nodes[:, j], omega_m, exact=True)
-            group_starts = np.cumsum(count[tied]) - count[tied]
-            node[tied] = j[np.lexsort((exact, q))[group_starts]]  # lexsort is stable
-        out += node.tolist()
-    return out
+    xyt = _finite_xyt(queries, "query pose {} is not finite")
+    # argmin takes each query's first minimum: the lowest node among its ties
+    return [node for _, d in _metric_blocks(xyt, topo.pose_rows, omega_m)
+            for node in d.argmin(axis=1).tolist()]
 
 
 def _as_xyt(poses):
@@ -337,14 +311,21 @@ def _as_xyt(poses):
                     dtype=np.float64)
 
 
-def _metric(a, b, omega_m, exact=False):
-    """`pose_distance` of the columns of `_as_xyt` arrays a and b, elementwise, whose
-    np.hypot may differ from math.hypot in the last bit; `exact` (1-D only) takes the latter."""
+def _finite_xyt(poses, message):
+    """`_as_xyt` of the poses; ValueError with `message` formatted with the first non-finite one."""
+    xyt = _as_xyt(poses)
+    finite = np.isfinite(xyt).all(axis=0)
+    if not finite.all():
+        raise ValueError(message.format(poses[int(finite.argmin())]))
+    return xyt
+
+
+def _metric(a, b, omega_m):
+    """`pose_distance` of the columns of `_as_xyt` arrays a and b, elementwise, bit for bit."""
     dx, dy = a[0] - b[0], a[1] - b[1]
-    hyp = np.array(list(map(math.hypot, dx.tolist(), dy.tolist()))) if exact else np.hypot(dx, dy)
     # |wrap_angle_deg(d)| of d = fmod(.., 360) is |d| or 360 - |d|, whichever is smaller
     dth = np.abs(np.fmod(a[2] - b[2], 360.0))
-    return hyp + omega_m * np.minimum(dth, 360.0 - dth)
+    return np.sqrt(dx * dx + dy * dy) + omega_m * np.minimum(dth, 360.0 - dth)
 
 
 def _metric_blocks(a, b, omega_m):

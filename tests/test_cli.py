@@ -3,6 +3,7 @@ composition, determinism, schemas, and error reporting."""
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,20 @@ def test_build_map_index_out_of_range(pipeline, tmp_path, capsys, index):
     assert not os.path.exists(tmp_path / "map.json")
 
 
+def test_build_map_on_non_finite_pose_exits_2_without_warning(pipeline, tmp_path, capsys):
+    with open(os.path.join(pipeline, "mapping.json")) as fh:
+        blob = json.load(fh)
+    blob["trajectories"][0]["poses"][3]["x"] = float("inf")  # written as Infinity
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(blob))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["build-map", "--trajectories", str(path), "--out", str(tmp_path)])
+    assert code == 2
+    assert "non-finite trajectory pose" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "map.json")
+
+
 def test_sampled_goals_are_plannable_on_one_way_chain():
     n = 20
     topo = TopoMap(np.zeros((n, 2)), [Pose2D(i, 0.0, 0.0) for i in range(n)],
@@ -290,6 +305,18 @@ def test_eval_loc_on_malformed_map_exits_2(pipeline, tmp_path, capsys, field, va
     assert main(["eval-loc", "--map", bad, "--data", os.path.join(pipeline, "sim.json"),
                  "--method", "oracle", "--out", str(tmp_path), "--seed", "2"]) == 2
     assert f"bad map artifact {bad}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["bad_map.json"]
+
+
+def test_eval_loc_on_map_with_non_finite_pose_exits_2_at_loading(pipeline, tmp_path, capsys):
+    with open(os.path.join(pipeline, "map.json")) as fh:
+        blob = json.load(fh)
+    blob["nodes"][4]["pose"]["y"] = float("-inf")
+    bad = tmp_path / "bad_map.json"
+    bad.write_text(json.dumps(blob))
+    assert main(["eval-loc", "--map", str(bad), "--data", os.path.join(pipeline, "sim.json"),
+                 "--method", "oracle", "--out", str(tmp_path), "--seed", "2"]) == 2
+    assert "non-finite map pose" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["bad_map.json"]
 
 

@@ -570,3 +570,21 @@ def test_localize_step_with_prebuilt_context_matches_context_per_step(variant):
         assert pred == qred and np.array_equal(p.data, q.data)
         assert np.array_equal(prebuilt.h.data, fresh.h.data)
         assert np.array_equal(prebuilt.c.data, fresh.c.data)
+
+
+@pytest.mark.parametrize("variant", L.VARIANTS)
+def test_window_logits_in_a_group_equal_the_window_run_alone(variant):
+    # 15 steps of maps of 40, 33 and 27 nodes: 1,500 head rows in the group, 600, 495
+    # and 405 alone, so a row sits elsewhere in a BLAS kernel's blocks of rows
+    model = L.Localizer(L.LocalizerConfig(variant=variant), seed=48).train()
+    rng = np.random.default_rng(49)
+    topos = [random_map(n, model.cfg.d_obs, seed) for seed, n in enumerate((40, 33, 27))]
+    obs = rng.normal(size=(15, len(topos), model.cfg.d_obs))
+    ctx = L.make_context(model, *topos)
+    rows = ctx.node_embs.shape[0]
+    group, _ = L.step_logits(model, L.reset_state(rows, model.cfg.d_h), obs, ctx)
+    group = group.data.reshape(15, rows)
+    for k, (topo, lo) in enumerate(zip(topos, ctx.segments.starts)):
+        alone, _ = L.step_logits(model, L.reset_state(topo.n, model.cfg.d_h),
+                                 obs[:, k:k + 1], L.make_context(model, topo))
+        assert np.array_equal(group[:, lo:lo + topo.n], alone.data.reshape(15, topo.n))

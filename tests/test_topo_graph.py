@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from collections import deque
 
 import numpy as np
@@ -58,6 +59,19 @@ def test_pose_distance_zero_iff_identical(p):
     assert pose_distance(p, p, OMEGA) == 0.0
     shifted = Pose2D(p.x + 0.5, p.y, p.theta)
     assert pose_distance(p, shifted, OMEGA) > 0.0
+
+
+@given(st.lists(poses, min_size=1, max_size=6), st.lists(poses, min_size=1, max_size=6),
+       st.lists(st.floats(-1080, 1080), max_size=6), st.sampled_from([OMEGA, 1 / 180, 0.3]))
+@settings(max_examples=200, deadline=None)
+def test_array_metric_equals_pose_distance_bit_for_bit(a, b, thetas, omega):
+    # poses 180 degrees either side of each of a's: the yaw difference wraps at +-180
+    b += [Pose2D(p.x + 0.5, p.y, p.theta + d) for p in a for d in (180.0, -180.0, 179.5)]
+    for p, theta in zip(a, thetas):
+        p.theta = theta  # mutated, not normalized
+    got = G._metric(G._as_xyt(a)[:, :, None], G._as_xyt(b), omega)
+    want = np.array([[pose_distance(p, q, omega) for q in b] for p in a])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_theta_normalized_to_half_open_interval():
@@ -201,11 +215,12 @@ def test_build_map_sim_closes_loops_at_exactly_alpha_th():
     assert_same_map(m, traj, cfg)
 
 
-# (dx, dy) whose math.hypot is 1.5760916885129097 and 0.986504552812741, and
-# whose np.hypot (the C library's hypot; glibc, numpy 2.4) is one ulp less and
-# one ulp more; where the two agree, these tests hold all the same
-ULP_OFFSETS = [((1.363786241097085, 0.7900329734851314), 1.5760916885129097, 1.5760916885129095),
-               ((0.6412465569010316, 0.7496626481176971), 0.986504552812741, 0.9865045528127411)]
+# (dx, dy) whose pose_distance from the origin, sqrt(dx*dx + dy*dy), is
+# 1.0376109047169515 and 1.5284242658048781, and whose math.hypot is one ulp
+# more and one ulp less (np.hypot, glibc, numpy 2.4: one ulp more and equal), so
+# these tests fail if either path computes the distance with a hypot
+ULP_OFFSETS = [((0.9554425309821815, 0.40468007064580547), 1.0376109047169515, 1.0376109047169517),
+               ((1.2947683835248298, 0.8121918303736375), 1.5284242658048781, 1.528424265804878)]
 
 
 @pytest.mark.parametrize("offset,exact,other", ULP_OFFSETS)
@@ -355,6 +370,29 @@ def test_nearest_node_rejects_non_finite_poses():
         nearest_node(two_node_map(), Pose2D(math.nan, 0.0, 0.0), OMEGA)
     with pytest.raises(ValueError, match="non-finite"):
         nearest_node(posed_map([pose(0), pose(math.nan)]), pose(0), OMEGA)
+
+
+@pytest.mark.parametrize("query", [Pose2D(math.inf, 0.0, 0.0), Pose2D(0.0, -math.inf, 0.0)])
+def test_nearest_nodes_reject_an_infinite_query(query):
+    with pytest.raises(ValueError, match="not finite"):
+        nearest_nodes(two_node_map(), [pose(0.5), query], OMEGA)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_map_rejects_a_non_finite_pose_at_construction(bad):
+    with pytest.raises(ValueError, match="non-finite map pose"):
+        TopoMap(np.zeros((2, 3)), [pose(0), pose(bad)], [(0, 1)])
+
+
+@pytest.mark.parametrize("k,bad", [(0, math.inf), (2, math.inf), (2, math.nan)])
+def test_build_map_sim_rejects_a_non_finite_pose_before_any_metric_pass(k, bad):
+    rng = np.random.default_rng(8)
+    traj = [(rand_desc(rng), pose(2.0 * i)) for i in range(5)]
+    traj[k] = (traj[k][0], pose(bad))  # a NaN pose is never far enough to become a node
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"non-finite trajectory pose Pose2D.x={bad}"):
+            build_map_sim(traj, MapConfig())
 
 
 def test_nearest_nodes_reject_a_non_finite_query_beside_a_tie():
