@@ -75,7 +75,7 @@ def main():
         argv = ["eval-loc", "--map", mp,
                 "--data", os.path.join(out, "test_sim.json"),
                 "--method", method, "--out", out, "--seed", args.seed,
-                "--category", "deviated_le_1", "--name", f"loc_{method}.csv"]
+                "--name", f"loc_{method}.csv"]
         if method in ("ours", "no_gclstm", "no_skip"):
             argv += ["--model", os.path.join(out, f"checkpoint_{method}.json")]
         run(*argv)

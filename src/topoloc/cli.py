@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -142,20 +142,21 @@ def cmd_collect(args):
 
 
 def load_trajectories(path):
+    """Each trajectory's (category: real_like or its deviation band, poses, observations)."""
     with _reading("trajectory artifact", path):
         blob = _load_json(path, "trajectory artifact")
-        return blob["domain"], [([Pose2D.from_dict(p) for p in t["poses"]],
-                                 np.array(t["observations"], dtype=np.float64))
-                                for t in blob["trajectories"]]
+        return [("real_like" if blob["domain"] == "real_like" else W.deviation_band(t["deviation"]),
+                 [Pose2D.from_dict(p) for p in t["poses"]],
+                 np.array(t["observations"], dtype=np.float64)) for t in blob["trajectories"]]
 
 
 def cmd_build_map(args):
     mc = _config(args, MapConfig().to_dict(), MapConfig.from_dict)
-    domain, trajs = load_trajectories(args.trajectories)
+    trajs = load_trajectories(args.trajectories)
     if not 0 <= args.index < len(trajs):
         raise CliError(f"--index {args.index} out of range: {args.trajectories} "
                        f"holds {len(trajs)} trajectories")
-    poses, obs = trajs[args.index]
+    _, poses, obs = trajs[args.index]
     if args.style == "sim":
         with _reading("trajectory artifact", args.trajectories):  # say, a non-finite pose
             topo = build_map_sim(list(zip(obs, poses)), mc)
@@ -176,7 +177,7 @@ def load_map(path):
 
 def build_samples(topo, sim_trajs, mc):
     return [TR.make_sim_sample(list(zip(obs, poses)), topo, mc)
-            for poses, obs in sim_trajs]
+            for _, poses, obs in sim_trajs]
 
 
 def cmd_train(args):
@@ -184,13 +185,13 @@ def cmd_train(args):
     topo = load_map(args.map)
     mc = topo.config or MapConfig()
     with memory_scope():  # one scope for building the samples and training
-        _, sim_trajs = load_trajectories(args.sim_data)
+        sim_trajs = load_trajectories(args.sim_data)
         sim_set = build_samples(topo, sim_trajs, mc)
         real_set = []
         if args.real_data:
-            _, real_trajs = load_trajectories(args.real_data)
-            real_set = [TR.make_real_like_sample(obs, mc.m_stride) for _, obs in real_trajs]
-        _, val_trajs = load_trajectories(args.val_data)
+            real_trajs = load_trajectories(args.real_data)
+            real_set = [TR.make_real_like_sample(obs, mc.m_stride) for _, _, obs in real_trajs]
+        val_trajs = load_trajectories(args.val_data)
         val_set = [TR.window(s, 0, min(tc.tau, s.observations.shape[0] - 1))
                    for s in build_samples(topo, val_trajs, mc)]
         d_obs = topo.descriptors.shape[1]
@@ -206,11 +207,10 @@ def cmd_train(args):
 
 
 def make_localizer(args, topo):
-    omega = (topo.config or MapConfig()).omega_m
     if args.method == "nearest":
         return E.NearestDescriptorLocalizer()
     if args.method == "oracle":
-        return E.OracleLocalizer(omega)
+        return E.OracleLocalizer((topo.config or MapConfig()).omega_m)
     with _reading("model checkpoint", args.model):
         model = L.Localizer.from_checkpoint(_require(args.model, "model checkpoint"))
     width = topo.descriptors.shape[1]
@@ -223,19 +223,15 @@ def make_localizer(args, topo):
 def cmd_eval_loc(args):
     topo = load_map(args.map)
     mc = topo.config or MapConfig()
-    domain, trajs = load_trajectories(args.data)
+    trajs = load_trajectories(args.data)
     loc = make_localizer(args, topo)
     rows = []
     with memory_scope():  # one scope for all runs: the heap is kept between them
-        for poses, obs in trajs:
-            if domain == "real_like":  # on a map of its own, without poses
-                sample = TR.make_real_like_sample(obs, mc.m_stride)
-            else:
-                sample = TR.make_sim_sample(list(zip(obs, poses)), topo, mc)
+        for category, poses, obs in trajs:
+            sample = (TR.make_real_like_sample(obs, mc.m_stride) if category == "real_like"
+                      else TR.make_sim_sample(list(zip(obs, poses)), topo, mc))
             rows.append(E.eval_run(loc, sample.observations, sample.topo, sample.targets,
-                                   sample.poses, mc.omega_m, method=args.method,
-                                   category="real_like" if domain == "real_like"
-                                   else args.category))
+                                   sample.poses, mc.omega_m, args.method, category))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, args.name)
     meta = f"config_hash={config_hash(_args_dict(args))} seed={args.seed}"
@@ -327,6 +323,14 @@ def _positive_int(text):
     return int(text)
 
 
+def _non_negative(text):
+    """An argparse type: a finite number of at least 0."""
+    with suppress(ValueError):
+        if 0 <= float(text) < np.inf:
+            return float(text)
+    raise argparse.ArgumentTypeError(f"must be a finite number of at least 0, got {text!r}")
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="topoloc",
                                 description="topological-map localization pipeline")
@@ -347,8 +351,8 @@ def build_parser():
     sp.add_argument("--world", required=True)
     sp.add_argument("--domain", choices=("sim", "real_like"), default="sim")
     sp.add_argument("--count", type=_positive_int, default=4)
-    sp.add_argument("--deviation", type=float, default=0.0)
-    sp.add_argument("--noise", type=float, default=0.05)
+    sp.add_argument("--deviation", type=_non_negative, default=0.0)
+    sp.add_argument("--noise", type=_non_negative, default=0.05)
     sp.add_argument("--name", default="trajectories.json")
     sp.add_argument("--full-span", action="store_true")
     sp.set_defaults(func=cmd_collect)
@@ -376,7 +380,6 @@ def build_parser():
     sp.add_argument("--data", required=True)
     sp.add_argument("--model", default=None)
     sp.add_argument("--method", choices=METHODS, default="ours")
-    sp.add_argument("--category", default="not_deviated")
     sp.add_argument("--name", default="loc_eval.csv")
     sp.set_defaults(func=cmd_eval_loc)
 
@@ -388,7 +391,7 @@ def build_parser():
     sp.add_argument("--method", choices=METHODS, default="ours")
     sp.add_argument("--trials", type=_positive_int, default=20)
     sp.add_argument("--time-limit", type=_positive_int, default=400)
-    sp.add_argument("--noise", type=float, default=0.05)
+    sp.add_argument("--noise", type=_non_negative, default=0.05)
     sp.add_argument("--name", default="nav_eval.csv")
     sp.set_defaults(func=cmd_eval_nav)
 

@@ -24,11 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topo_graph import Pose2D, nearest_node, pose_distance, wrap_angle_deg
-
-NOT_DEVIATED = "not_deviated"
-DEVIATED_LE_1 = "deviated_le_1"
-DEVIATED_1_TO_2 = "deviated_1_to_2"
+from .topo_graph import Pose2D
 
 
 @dataclass
@@ -245,16 +241,12 @@ def render_trajectory(world, poses, model, domain="sim", seed=0):
     return _render(world, poses, model, domain, np.random.default_rng(seed))
 
 
-def classify_deviation(pose: Pose2D, topo, omega_m: float) -> str:
-    """Band of the pose metric to the nearest map node."""
-    if not topo.has_poses:
-        raise ValueError("classify_deviation requires a map with poses")
-    d = pose_distance(pose, topo.poses[nearest_node(topo, pose, omega_m)], omega_m)
-    if d <= 1e-6:
-        return NOT_DEVIATED
-    if d <= 1.0:
-        return DEVIATED_LE_1
-    return DEVIATED_1_TO_2
+def deviation_band(amplitude) -> str:
+    """Category of a route made by `generate_trajectory` with `amplitude` (m) of deviation."""
+    if not 0 <= amplitude < math.inf:
+        raise ValueError(f"deviation amplitude must be finite and at least 0, got {amplitude!r}")
+    return ("not_deviated" if amplitude <= 1e-6 else
+            "deviated_le_1" if amplitude <= 1.0 else "deviated_1_to_2")
 
 
 def segment_intersects(p0, p1, q0, q1):

@@ -203,13 +203,60 @@ def test_config_flag_only_where_read(capsys, argv):
     (["eval-nav", "--world", "w.json", "--map", "m.json", "--trials", "0"], "--trials"),
     (["eval-nav", "--world", "w.json", "--map", "m.json", "--time-limit", "0"], "--time-limit"),
     (["eval-nav", "--world", "w.json", "--map", "m.json", "--trials", "-2"], "--trials"),
+    (["collect", "--world", "w.json", "--noise", "nan"], "--noise"),
+    (["collect", "--world", "w.json", "--noise", "-0.05"], "--noise"),
+    (["eval-nav", "--world", "w.json", "--map", "m.json", "--noise", "nan"], "--noise"),
+    (["collect", "--world", "w.json", "--deviation", "nan"], "--deviation"),
+    (["collect", "--world", "w.json", "--deviation", "-0.3"], "--deviation"),
+    (["collect", "--world", "w.json", "--deviation", "inf"], "--deviation"),
+    (["collect", "--world", "w.json", "--deviation", "wide"], "--deviation"),
 ])
 def test_counts_below_one_exit_2_at_parsing(capsys, tmp_path, argv, flag):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path)])
     assert exc.value.code == 2
-    assert f"argument {flag}: must be an integer of at least 1" in capsys.readouterr().err
+    want = ("a finite number of at least 0" if flag in ("--noise", "--deviation")
+            else "an integer of at least 1")
+    assert f"argument {flag}: must be {want}" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("deviation, category", [
+    ("0", "not_deviated"), ("0.3", "deviated_le_1"), ("1.3", "deviated_1_to_2")])
+def test_eval_loc_labels_rows_with_recorded_deviation_band(pipeline, tmp_path, deviation,
+                                                           category):
+    d = str(tmp_path)
+    assert main(["collect", "--world", os.path.join(pipeline, "world.json"), "--out", d,
+                 "--seed", "8", "--count", "2", "--deviation", deviation,
+                 "--name", "t.json"]) == 0
+    assert main(["eval-loc", "--map", os.path.join(pipeline, "map.json"),
+                 "--data", os.path.join(d, "t.json"), "--method", "nearest",
+                 "--out", d, "--seed", "1"]) == 0
+    rows = open(os.path.join(d, "loc_eval.csv")).read().splitlines()[2:]
+    assert [r.split(",")[1] for r in rows] == [category, category]
+
+
+@pytest.mark.parametrize("deviation", [None, -1, float("nan"), float("inf"), "0.3"])
+def test_eval_loc_on_bad_recorded_deviation_exits_2(pipeline, tmp_path, capsys, deviation):
+    with open(os.path.join(pipeline, "sim.json")) as fh:
+        blob = json.load(fh)
+    if deviation is None:
+        del blob["trajectories"][1]["deviation"]
+    else:
+        blob["trajectories"][1]["deviation"] = deviation
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    assert main(["eval-loc", "--map", os.path.join(pipeline, "map.json"), "--data", str(bad),
+                 "--method", "oracle", "--out", str(tmp_path), "--seed", "2"]) == 2
+    assert f"bad trajectory artifact {bad}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["bad.json"]
+
+
+def test_eval_loc_has_no_category_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval-loc", "--map", "m.json", "--data", "d.json", "--category", "deviated_le_1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --category" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("index", ["1", "-1"])

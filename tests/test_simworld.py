@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import topoloc.simworld as W
-from topoloc.topo_graph import (MapConfig, Pose2D, TopoMap, build_map_sim, nearest_nodes,
+from topoloc.topo_graph import (MapConfig, Pose2D, build_map_sim, nearest_nodes,
                                 pose_distance)
 
 
@@ -283,32 +283,36 @@ def test_amplitude_bands_map_to_deviation_categories():
     nominal = W.generate_trajectory(w, 0.0, w.total_length, 0.0, seed=7, step=1.0)
     obs = W.render_trajectory(w, nominal, m, "sim", seed=8)
     topo = build_map_sim(list(zip(obs, nominal)), MapConfig())
-    mild = W.generate_trajectory(w, 0.0, w.total_length, 0.3, seed=9)
-    mild_cats = [W.classify_deviation(p, topo, 0.025) for p in mild]
-    in_band = sum(c in (W.NOT_DEVIATED, W.DEVIATED_LE_1) for c in mild_cats)
-    assert in_band >= 0.7 * len(mild_cats)
-    strong = W.generate_trajectory(w, 0.0, w.total_length, 1.4, seed=10)
-    strong_cats = [W.classify_deviation(p, topo, 0.025) for p in strong]
-    assert W.DEVIATED_1_TO_2 in strong_cats
-    assert strong_cats.count(W.DEVIATED_1_TO_2) > mild_cats.count(W.DEVIATED_1_TO_2)
+
+    def node_distances(poses):
+        """The pose metric from each pose to its nearest node."""
+        return [pose_distance(p, topo.poses[k], 0.025)
+                for p, k in zip(poses, nearest_nodes(topo, poses, 0.025))]
+
+    for amp in (0.3, 1.4):  # lateral offsets stay within [0.7, 1.0] * amplitude
+        poses = W.generate_trajectory(w, 0.0, w.total_length, amp, seed=11)
+        assert all(0.7 * amp - 1e-12 <= abs(p.y) <= amp + 1e-12 for p in poses)
+    mild = node_distances(W.generate_trajectory(w, 0.0, w.total_length, 0.3, seed=9))
+    assert W.deviation_band(0.3) == "deviated_le_1"
+    assert sum(d <= 1.0 for d in mild) >= 0.7 * len(mild)
+    strong = node_distances(W.generate_trajectory(w, 0.0, w.total_length, 1.4, seed=10))
+    assert W.deviation_band(1.4) == "deviated_1_to_2"
+    assert any(d > 1.0 for d in strong)
+    assert sum(d > 1.0 for d in strong) > sum(d > 1.0 for d in mild)
 
 
-# -- deviation classifier ----------------------------------------------------
-
-
-def chain_topo():
-    poses = [Pose2D(float(i), 0.0, 0.0) for i in range(3)]
-    return TopoMap(np.zeros((3, 4)), poses, [(0, 1), (1, 2)], MapConfig())
+# -- deviation bands ---------------------------------------------------------
 
 
 def test_classify_deviation_bands():
-    topo = chain_topo()
-    assert W.classify_deviation(Pose2D(1.0, 0.0, 0.0), topo, 0.025) == W.NOT_DEVIATED
-    assert W.classify_deviation(Pose2D(1.0, 0.5, 0.0), topo, 0.025) == W.DEVIATED_LE_1
-    assert W.classify_deviation(Pose2D(2.0, 1.5, 0.0), topo, 0.025) == W.DEVIATED_1_TO_2
-    with pytest.raises(ValueError):
-        W.classify_deviation(Pose2D(0, 0, 0),
-                             TopoMap(np.zeros((1, 4)), None, [], MapConfig()), 0.025)
+    assert W.deviation_band(0.0) == "not_deviated"
+    assert W.deviation_band(1e-6) == "not_deviated"
+    assert W.deviation_band(0.3) == "deviated_le_1"
+    assert W.deviation_band(1.0) == "deviated_le_1"
+    assert W.deviation_band(1.3) == "deviated_1_to_2"
+    for bad in (math.nan, -0.1):
+        with pytest.raises(ValueError, match="finite and at least 0"):
+            W.deviation_band(bad)
 
 
 # -- aliasing property -------------------------------------------------------
