@@ -111,6 +111,8 @@ def default_obs_model(world, noise_sigma=0.05):
 
 def cmd_collect(args):
     world = load_world(args.world)
+    with _reading("--deviation for world", args.world):  # routes its walls do not clamp
+        W.deviation_band(args.deviation, world.spec.half_width)
     obs_model = default_obs_model(world, args.noise)
     rng = np.random.default_rng(args.seed)
     trajectories = []

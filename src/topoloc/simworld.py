@@ -26,6 +26,8 @@ import numpy as np
 
 from .topo_graph import Pose2D
 
+WALL_MARGIN = 0.05  # how far `generate_trajectory` keeps a route off the walls
+
 
 @dataclass
 class SegmentSpec:
@@ -230,7 +232,7 @@ def generate_trajectory(world: World, start_x, goal_x, deviation_amplitude,
     x = start_x + direction * np.minimum(np.arange(count + 1) * step, span)
     arg = 2 * math.pi * x / period
     profile = 0.85 + 0.15 * np.array(list(map(math.sin, (arg + phase).tolist())))
-    wall = world.spec.half_width - 0.05  # a margin off the walls
+    wall = world.spec.half_width - WALL_MARGIN
     y = np.minimum(np.maximum(sign * deviation_amplitude * profile, -wall), wall)
     dth = 2.0 * deviation_amplitude * np.array(list(map(math.sin, (arg + phase2).tolist())))
     return list(map(Pose2D, x.tolist(), y.tolist(), (heading + dth).tolist()))
@@ -241,10 +243,11 @@ def render_trajectory(world, poses, model, domain="sim", seed=0):
     return _render(world, poses, model, domain, np.random.default_rng(seed))
 
 
-def deviation_band(amplitude) -> str:
-    """Category of a route made by `generate_trajectory` with `amplitude` (m) of deviation."""
-    if not 0 <= amplitude < math.inf:
-        raise ValueError(f"deviation amplitude must be finite and at least 0, got {amplitude!r}")
+def deviation_band(amplitude, half_width=math.inf) -> str:
+    """Category of `generate_trajectory` routes of `amplitude` (m) that its walls do not clamp."""
+    most = min(2.0, half_width - WALL_MARGIN)  # the paper's bands end at 2 m
+    if not 0 <= amplitude <= most:
+        raise ValueError(f"deviation amplitude must be between 0 and {most:g} m, got {amplitude!r}")
     return ("not_deviated" if amplitude <= 1e-6 else
             "deviated_le_1" if amplitude <= 1.0 else "deviated_1_to_2")
 

@@ -697,16 +697,11 @@ def batch_norm(x, gamma, beta, eps=1e-5, segments=None):
     xd = x.data
     seg = Segments(xd.shape[:1]) if segments is None else segments
     n = seg.counts
-    # sum * (1/n) rather than mean(): the composed op's order, for bit-identical values; rows
-    # equal to their segment's first centre to 0, and such rows always leave ss this near 0 or NaN
-    mean = seg.reduce(np.add, xd) * (1.0 / n)
-    xc = xd - seg.spread(mean)
-    ss = seg.reduce(np.add, xc * xc)
-    if not (ss > n * (n * 1e-14 * mean) ** 2).all():
-        equal = seg.reduce(np.logical_and, xd == seg.spread(xd[seg.starts]))
-        np.copyto(xc, 0, where=seg.spread(equal))
-        ss[equal] = 0.0  # the sum of those zeros
-    std = seg.spread(np.sqrt(ss * (1.0 / n) + eps))
+    # sum * (1/n) rather than mean(): the composed op's order, for bit-identical values;
+    # a feature whose rows equal its segment's first row centres to 0 there, not to rounding
+    xc = xd - seg.spread(seg.reduce(np.add, xd) * (1.0 / n))
+    np.copyto(xc, 0, where=seg.spread(seg.reduce(np.logical_and, xd == seg.spread(xd[seg.starts]))))
+    std = seg.spread(np.sqrt(seg.reduce(np.add, xc * xc) * (1.0 / n) + eps))
     xhat = xc / std
     out = Tensor(xhat * gamma.data + beta.data)
     if _recording(x, gamma, beta):

@@ -236,7 +236,7 @@ def test_eval_loc_labels_rows_with_recorded_deviation_band(pipeline, tmp_path, d
     assert [r.split(",")[1] for r in rows] == [category, category]
 
 
-@pytest.mark.parametrize("deviation", [None, -1, float("nan"), float("inf"), "0.3"])
+@pytest.mark.parametrize("deviation", [None, -1, float("nan"), float("inf"), "0.3", 2.5])
 def test_eval_loc_on_bad_recorded_deviation_exits_2(pipeline, tmp_path, capsys, deviation):
     with open(os.path.join(pipeline, "sim.json")) as fh:
         blob = json.load(fh)
@@ -250,6 +250,20 @@ def test_eval_loc_on_bad_recorded_deviation_exits_2(pipeline, tmp_path, capsys, 
                  "--method", "oracle", "--out", str(tmp_path), "--seed", "2"]) == 2
     assert f"bad trajectory artifact {bad}" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["bad.json"]
+
+
+@pytest.mark.parametrize("half_width, deviation, most", [
+    (1.0, "1.3", "0.95"),  # generate_trajectory would clamp the offsets at 0.95 m
+    (1.5, "2.5", "1.45"), (3.0, "2.5", "2")])  # no band holds routes beyond 2 m
+def test_collect_rejects_deviation_without_a_band(tmp_path, capsys, half_width, deviation, most):
+    d = str(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"half_width": half_width}))
+    assert main(["gen-world", "--config", str(cfg), "--out", d]) == 0
+    assert main(["collect", "--world", os.path.join(d, "world.json"), "--out", d,
+                 "--deviation", deviation]) == 2
+    assert f"between 0 and {most} m, got {deviation}" in capsys.readouterr().err
+    assert sorted(os.listdir(d)) == ["cfg.json", "world.json"]
 
 
 def test_eval_loc_has_no_category_flag(capsys):

@@ -310,9 +310,16 @@ def test_classify_deviation_bands():
     assert W.deviation_band(0.3) == "deviated_le_1"
     assert W.deviation_band(1.0) == "deviated_le_1"
     assert W.deviation_band(1.3) == "deviated_1_to_2"
-    for bad in (math.nan, -0.1):
-        with pytest.raises(ValueError, match="finite and at least 0"):
+    assert W.deviation_band(2.0) == "deviated_1_to_2"
+    for bad in (math.nan, -0.1, 2.01, math.inf):  # the paper's bands end at 2 m
+        with pytest.raises(ValueError, match="between 0 and 2 m"):
             W.deviation_band(bad)
+    # in a corridor of half-width 1.0 generate_trajectory clamps offsets at 0.95 m
+    assert W.deviation_band(0.95, half_width=1.0) == "deviated_le_1"
+    with pytest.raises(ValueError, match="between 0 and 0.95 m, got 1.3"):
+        W.deviation_band(1.3, half_width=1.0)
+    w = W.generate_world(W.WorldSpec.from_dict({**world().spec.to_dict(), "half_width": 1.0}))
+    assert max(abs(p.y) for p in W.generate_trajectory(w, 0.0, 30.0, 1.3, seed=3)) == 0.95
 
 
 # -- aliasing property -------------------------------------------------------
