@@ -152,6 +152,14 @@ def load_trajectories(path):
                  np.array(t["observations"], dtype=np.float64)) for t in blob["trajectories"]]
 
 
+def load_domain(path, flag, domain):
+    """`load_trajectories(path)`, whose artifact must hold `domain` trajectories for `flag`."""
+    trajs = load_trajectories(path)
+    if any((category == "real_like") != (domain == "real_like") for category, _, _ in trajs):
+        raise CliError(f"{flag} takes {domain} trajectories, but {path} holds another domain")
+    return trajs
+
+
 def cmd_build_map(args):
     mc = _config(args, MapConfig().to_dict(), MapConfig.from_dict)
     trajs = load_trajectories(args.trajectories)
@@ -177,6 +185,11 @@ def load_map(path):
         return TopoMap.from_dict(_load_json(path, "map artifact"))
 
 
+def require_poses(topo, path, use):
+    if not topo.has_poses:
+        raise CliError(f"map {path} has no poses to {use}; build it with --style sim")
+
+
 def build_samples(topo, sim_trajs, mc):
     return [TR.make_sim_sample(list(zip(obs, poses)), topo, mc)
             for _, poses, obs in sim_trajs]
@@ -185,15 +198,15 @@ def build_samples(topo, sim_trajs, mc):
 def cmd_train(args):
     tc = _config(args, TR.TrainConfig(seed=args.seed).to_dict(), TR.TrainConfig.from_dict)
     topo = load_map(args.map)
+    require_poses(topo, args.map, "label simulator rows by")
     mc = topo.config or MapConfig()
     with memory_scope():  # one scope for building the samples and training
-        sim_trajs = load_trajectories(args.sim_data)
+        sim_trajs = load_domain(args.sim_data, "--sim-data", "sim")
+        real_trajs = (load_domain(args.real_data, "--real-data", "real_like")
+                      if args.real_data else [])
+        val_trajs = load_domain(args.val_data, "--val-data", "sim")
         sim_set = build_samples(topo, sim_trajs, mc)
-        real_set = []
-        if args.real_data:
-            real_trajs = load_trajectories(args.real_data)
-            real_set = [TR.make_real_like_sample(obs, mc.m_stride) for _, _, obs in real_trajs]
-        val_trajs = load_trajectories(args.val_data)
+        real_set = [TR.make_real_like_sample(obs, mc.m_stride) for _, _, obs in real_trajs]
         val_set = [TR.window(s, 0, min(tc.tau, s.observations.shape[0] - 1))
                    for s in build_samples(topo, val_trajs, mc)]
         d_obs = topo.descriptors.shape[1]
@@ -226,6 +239,12 @@ def cmd_eval_loc(args):
     topo = load_map(args.map)
     mc = topo.config or MapConfig()
     trajs = load_trajectories(args.data)
+    real_like = [category == "real_like" for category, _, _ in trajs]
+    if not all(real_like):  # simulator rows take their targets from the map's poses
+        require_poses(topo, args.map, "label simulator rows by")
+    if args.method == "oracle" and any(real_like):
+        raise CliError(f"--method oracle needs poses, but {args.data} holds real_like "
+                       "trajectories")
     loc = make_localizer(args, topo)
     rows = []
     with memory_scope():  # one scope for all runs: the heap is kept between them
@@ -245,8 +264,7 @@ def cmd_eval_loc(args):
 def cmd_eval_nav(args):
     world = load_world(args.world)
     topo = load_map(args.map)
-    if not topo.has_poses:
-        raise CliError(f"map {args.map} has no poses to navigate by; build it with --style sim")
+    require_poses(topo, args.map, "navigate by")
     mc = topo.config or MapConfig()
     obs_model = default_obs_model(world, args.noise)
     loc = make_localizer(args, topo)
@@ -318,11 +336,13 @@ def cmd_report(args):
 # -- argument parsing --------------------------------------------------------
 
 
-def _positive_int(text):
-    """An argparse type: an integer of at least 1."""
-    if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
-    return int(text)
+def _int_at_least(low):
+    """An argparse type: an integer of at least `low`, which is 0 or more."""
+    def parse(text):
+        if not text.strip().isdigit() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer of at least {low}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _non_negative(text):
@@ -341,7 +361,7 @@ def build_parser():
     def common(sp, config=False):
         if config:
             sp.add_argument("--config", default=None, help="JSON object of config overrides")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_int_at_least(0), default=0)
         sp.add_argument("--out", default="out")
 
     sp = sub.add_parser("gen-world", help="write a world spec artifact")
@@ -352,7 +372,7 @@ def build_parser():
     common(sp)
     sp.add_argument("--world", required=True)
     sp.add_argument("--domain", choices=("sim", "real_like"), default="sim")
-    sp.add_argument("--count", type=_positive_int, default=4)
+    sp.add_argument("--count", type=_int_at_least(1), default=4)
     sp.add_argument("--deviation", type=_non_negative, default=0.0)
     sp.add_argument("--noise", type=_non_negative, default=0.05)
     sp.add_argument("--name", default="trajectories.json")
@@ -391,8 +411,8 @@ def build_parser():
     sp.add_argument("--map", required=True)
     sp.add_argument("--model", default=None)
     sp.add_argument("--method", choices=METHODS, default="ours")
-    sp.add_argument("--trials", type=_positive_int, default=20)
-    sp.add_argument("--time-limit", type=_positive_int, default=400)
+    sp.add_argument("--trials", type=_int_at_least(1), default=20)
+    sp.add_argument("--time-limit", type=_int_at_least(1), default=400)
     sp.add_argument("--noise", type=_non_negative, default=0.05)
     sp.add_argument("--name", default="nav_eval.csv")
     sp.set_defaults(func=cmd_eval_nav)

@@ -171,13 +171,3 @@ def nav_metrics(outcomes):
     cov = float(np.mean([o.coverage for o in outcomes]))
     return sr, cr, tr, cov
 
-
-def write_trial_log(path, outcome: TrialOutcome, meta=""):
-    with open(path, "w") as fh:
-        if meta:
-            fh.write(f"# {meta}\n")
-        fh.write("step,x,y,theta,node,subgoal\n")
-        nodes = {s: (n, g) for s, n, g in outcome.log}
-        for i, p in enumerate(outcome.visited):
-            n, g = nodes.get(i, ("", ""))
-            fh.write(f"{i},{p.x!r},{p.y!r},{p.theta!r},{n},{g}\n")

@@ -17,7 +17,6 @@ Trajectories are array passes over their steps in a per-step loop's order.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -58,15 +57,6 @@ class WorldSpec:
             [SegmentSpec(s["kind"], s["length"]) for s in d["segments"]],
             d["half_width"], d["d_obs"], d["bumps_per_segment"], d["seed"],
         )
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @staticmethod
-    def load(path):
-        with open(path) as fh:
-            return WorldSpec.from_dict(json.load(fh))
 
 
 def benchmark_spec(seed=0, d_obs=16):

@@ -22,7 +22,6 @@ Each search runs on first request and is cached on the map, so hop distances
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -205,15 +204,6 @@ class TopoMap:
         poses = [Pose2D.from_dict(nd["pose"]) for nd in nodes] if with_pose else None
         config = MapConfig.from_dict(d["config"]) if d.get("config") else None
         return TopoMap(descriptors, poses, d["edges"], config)
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @staticmethod
-    def load(path):
-        with open(path) as fh:
-            return TopoMap.from_dict(json.load(fh))
 
 
 def _edge_array(edges, n):

@@ -25,17 +25,12 @@ from .map_sampler import sample_submap
 from .tensor import Adam, Segments, Tensor, cross_entropy, memory_scope, no_grad
 from .topo_graph import MapConfig, TopoMap, build_map_real, nearest_nodes
 
-SIM = "sim"
-REAL_LIKE = "real_like"
-
-
 @dataclass
 class Sample:
     observations: np.ndarray  # (steps, d_obs)
     poses: list | None        # Pose2D per step, None for real-like samples
     topo: TopoMap
     targets: list             # ground-truth NodeId per step
-    domain: str = SIM
 
     def __post_init__(self):
         if len(self.targets) != self.observations.shape[0]:
@@ -84,7 +79,7 @@ def make_sim_sample(trajectory, topo: TopoMap, cfg: MapConfig) -> Sample:
     observations = np.array([d for d, _ in trajectory], dtype=np.float64)
     poses = [p for _, p in trajectory]
     targets = nearest_nodes(topo, poses, cfg.omega_m)
-    return Sample(observations, poses, topo, targets, SIM)
+    return Sample(observations, poses, topo, targets)
 
 
 def stride_target(t, m_stride: int, n_nodes: int):
@@ -100,7 +95,7 @@ def make_real_like_sample(sequence, m_stride: int) -> Sample:
         raise ValueError("sequence must be a non-empty (steps, d_obs) array")
     topo = build_map_real(observations, m_stride)
     targets = stride_target(np.arange(observations.shape[0]), m_stride, topo.n).tolist()
-    return Sample(observations, None, topo, targets, REAL_LIKE)
+    return Sample(observations, None, topo, targets)
 
 
 def window(sample: Sample, start: int, tau: int) -> Sample:
@@ -108,13 +103,9 @@ def window(sample: Sample, start: int, tau: int) -> Sample:
     stop = start + tau + 1
     if stop > sample.observations.shape[0]:
         raise ValueError("window exceeds sample length")
-    return Sample(
-        sample.observations[start:stop],
-        sample.poses[start:stop] if sample.poses is not None else None,
-        sample.topo,
-        sample.targets[start:stop],
-        sample.domain,
-    )
+    return Sample(sample.observations[start:stop],
+                  sample.poses[start:stop] if sample.poses is not None else None,
+                  sample.topo, sample.targets[start:stop])
 
 
 def augment(sample: Sample, cfg: TrainConfig, rng) -> Sample:
@@ -128,7 +119,7 @@ def augment(sample: Sample, cfg: TrainConfig, rng) -> Sample:
     if cfg.jitter > 0:
         obs = obs + cfg.jitter * rng.normal(size=obs.shape)
     return Sample(obs, sample.poses, sub.submap,
-                  [sub.node_mapping[y] for y in sample.targets], sample.domain)
+                  [sub.node_mapping[y] for y in sample.targets])
 
 
 def sequence_loss(model: L.Localizer, windows) -> Tensor:

@@ -210,13 +210,19 @@ def test_config_flag_only_where_read(capsys, argv):
     (["collect", "--world", "w.json", "--deviation", "-0.3"], "--deviation"),
     (["collect", "--world", "w.json", "--deviation", "inf"], "--deviation"),
     (["collect", "--world", "w.json", "--deviation", "wide"], "--deviation"),
+    (["gen-world", "--seed", "-1"], "--seed"),
+    (["collect", "--world", "w.json", "--seed", "-1"], "--seed"),
+    (["train", "--map", "m.json", "--sim-data", "s.json", "--val-data", "v.json",
+      "--seed", "-1"], "--seed"),
+    (["eval-nav", "--world", "w.json", "--map", "m.json", "--seed", "-1"], "--seed"),
 ])
 def test_counts_below_one_exit_2_at_parsing(capsys, tmp_path, argv, flag):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path)])
     assert exc.value.code == 2
-    want = ("a finite number of at least 0" if flag in ("--noise", "--deviation")
-            else "an integer of at least 1")
+    number = "a finite number of at least 0"
+    want = {"--noise": number, "--deviation": number,
+            "--seed": "an integer of at least 0"}.get(flag, "an integer of at least 1")
     assert f"argument {flag}: must be {want}" in capsys.readouterr().err
     assert not os.listdir(tmp_path)
 
@@ -345,6 +351,49 @@ def test_eval_nav_on_map_without_poses_fails_loudly(pipeline, tmp_path, capsys):
                  "--trials", "2", "--out", str(tmp_path), "--seed", "2"]) == 2
     assert "has no poses" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "nav_eval.csv")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-loc", "--data", "SIM", "--method", "nearest"],
+    ["train", "--sim-data", "SIM", "--val-data", "SIM"]])
+def test_simulator_rows_on_map_without_poses_exit_2(pipeline, tmp_path, capsys, argv):
+    real_map = str(tmp_path / "real_map.json")
+    assert main(["build-map", "--trajectories", os.path.join(pipeline, "mapping.json"),
+                 "--style", "real", "--out", str(tmp_path), "--name", "real_map.json"]) == 0
+    capsys.readouterr()
+    paths = {"SIM": os.path.join(pipeline, "sim.json")}
+    assert main([paths.get(a, a) for a in argv]
+                + ["--map", real_map, "--out", str(tmp_path)]) == 2
+    assert f"map {real_map} has no poses" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["real_map.json"]
+
+
+def test_eval_loc_oracle_on_real_like_data_exits_2(pipeline, tmp_path, capsys):
+    real = os.path.join(pipeline, "real.json")
+    assert main(["eval-loc", "--map", os.path.join(pipeline, "map.json"), "--data", real,
+                 "--method", "oracle", "--out", str(tmp_path)]) == 2
+    assert f"--method oracle needs poses, but {real} holds real_like" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
+
+
+@pytest.mark.parametrize("sim, real, val, flag, artifact", [
+    ("real", "sim", "sim", "--sim-data", "real"),  # the two training sets swapped
+    ("sim", "sim", "sim", "--real-data", "sim"),
+    ("sim", None, "real", "--val-data", "real")])
+def test_train_rejects_trajectories_of_another_domain(pipeline, tmp_path, capsys, sim, real,
+                                                      val, flag, artifact):
+    def data(name):
+        return os.path.join(pipeline, f"{name}.json")
+    argv = ["train", "--map", data("map"), "--sim-data", data(sim), "--val-data", data(val),
+            "--config", data("train_cfg"), "--out", str(tmp_path)]
+    if real:
+        argv += ["--real-data", data(real)]
+    assert main(argv) == 2
+    want = "real_like" if flag == "--real-data" else "sim"
+    assert (f"{flag} takes {want} trajectories, but {data(artifact)} holds another domain"
+            in capsys.readouterr().err)
+    assert not os.listdir(tmp_path)
+
 
 
 @pytest.mark.parametrize("field, value", [

@@ -393,15 +393,3 @@ def test_nav_metrics_counting():
 def test_rates_sum_to_one(statuses):
     sr, cr, tr, _ = N.nav_metrics([outcome(s) for s in statuses])
     assert sr + cr + tr == pytest.approx(1.0, abs=1e-12)
-
-
-def test_trial_log_roundtrip(tmp_path):
-    w, m, topo = oracle_setup()
-    cfg = N.NavConfig(goal_node=6, time_limit_steps=100)
-    out = N.run_trial(w, topo, OracleLocalizer(0.025), m, topo.poses[1], cfg, seed=3)
-    path = tmp_path / "trial.csv"
-    N.write_trial_log(path, out, meta="trial")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# trial"
-    assert lines[1] == "step,x,y,theta,node,subgoal"
-    assert len(lines) == 2 + len(out.visited)

@@ -1,6 +1,7 @@
 """Synthetic world tests: determinism, aliasing by construction, domain
 shift, trajectory safety, and deviation bands."""
 
+import json
 import math
 
 import numpy as np
@@ -48,11 +49,9 @@ def test_world_validation():
         W.generate_world(W.WorldSpec([W.SegmentSpec("a", -1.0)]))
 
 
-def test_spec_roundtrip(tmp_path):
+def test_spec_roundtrip():
     spec = W.benchmark_spec(seed=9)
-    path = tmp_path / "spec.json"
-    spec.save(path)
-    assert W.WorldSpec.load(path) == spec
+    assert W.WorldSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
 
 # -- observations ------------------------------------------------------------

@@ -79,7 +79,7 @@ def test_trial_calls_each_stage_by_name(monkeypatch):
 def test_augment_calls_sample_submap_by_name(monkeypatch):
     rng = np.random.default_rng(2)
     topo = TopoMap(rng.normal(size=(6, 4)), None, [(i, i + 1) for i in range(5)], MapConfig())
-    sample = TR.Sample(rng.normal(size=(3, 4)), None, topo, [0, 1, 2], TR.REAL_LIKE)
+    sample = TR.Sample(rng.normal(size=(3, 4)), None, topo, [0, 1, 2])
     calls = count_calls(monkeypatch, TR, ("sample_submap",))
     TR.augment(sample, TR.TrainConfig(n_prime=4), rng)
     assert all(calls.values()), calls

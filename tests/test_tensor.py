@@ -752,8 +752,7 @@ def batch_windows(variant="full", steps=5):
         topo = TopoMap(rng.normal(size=(n, model.cfg.d_obs)), None,
                        [(i, i + 1) for i in range(n - 1)], MapConfig())
         obs = rng.normal(size=(steps, model.cfg.d_obs))
-        windows.append(TR.Sample(obs, None, topo, [int(rng.integers(n)) for _ in range(steps)],
-                                 TR.REAL_LIKE))
+        windows.append(TR.Sample(obs, None, topo, [int(rng.integers(n)) for _ in range(steps)]))
     return model, windows
 
 

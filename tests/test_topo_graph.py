@@ -643,14 +643,16 @@ def test_submap_adjacency_is_the_parents_block():
         assert np.array_equal(res.submap.adjacency, parent.adjacency[np.ix_(sel, sel)])
 
 
-def test_map_json_roundtrip_lossless(tmp_path):
+def json_roundtrip(m):
+    return TopoMap.from_dict(json.loads(json.dumps(m.to_dict())))
+
+
+def test_map_json_roundtrip_lossless():
     rng = np.random.default_rng(11)
     desc = rng.normal(size=(4, 6)) * 1e-8
     p = [Pose2D(rng.normal(), rng.normal(), rng.uniform(-180, 180)) for _ in range(4)]
     m = TopoMap(desc, p, [(0, 1), (1, 2), (2, 3), (3, 0)], MapConfig())
-    path = tmp_path / "map.json"
-    m.save(path)
-    loaded = TopoMap.load(path)
+    loaded = json_roundtrip(m)
     assert np.array_equal(loaded.descriptors, m.descriptors)
     assert loaded.edges == m.edges
     for a, b in zip(loaded.poses, m.poses):
@@ -659,20 +661,17 @@ def test_map_json_roundtrip_lossless(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_map_json_with_non_finite_descriptor_rejected(tmp_path, bad):
+def test_map_json_with_non_finite_descriptor_rejected(bad):
     blob = TopoMap(np.ones((3, 2)), None, [(0, 1), (1, 2)]).to_dict()
     blob["nodes"][1]["descriptor"][0] = bad
-    path = tmp_path / "map.json"
-    path.write_text(json.dumps(blob))  # Python's json writes and reads NaN and Infinity
+    text = json.dumps(blob)  # Python's json writes and reads NaN and Infinity
     with pytest.raises(ValueError, match="non-finite"):
-        TopoMap.load(path)
+        TopoMap.from_dict(json.loads(text))
 
 
-def test_map_json_roundtrip_poseless(tmp_path):
+def test_map_json_roundtrip_poseless():
     m = build_map_real(np.random.default_rng(1).normal(size=(9, 3)), 4)
-    path = tmp_path / "map.json"
-    m.save(path)
-    loaded = TopoMap.load(path)
+    loaded = json_roundtrip(m)
     assert loaded.poses is None
     assert np.array_equal(loaded.descriptors, m.descriptors)
 

@@ -96,7 +96,6 @@ def test_real_like_sample_construction():
     sample = TR.make_real_like_sample(seq, 7)
     assert sample.topo.n == 3
     assert sample.poses is None
-    assert sample.domain == TR.REAL_LIKE
     assert sample.targets == [TR.stride_target(t, 7, 3) for t in range(15)]
     with pytest.raises(ValueError):
         TR.make_real_like_sample(np.zeros((0, 4)), 7)
@@ -178,7 +177,7 @@ def mixed_windows(d_obs, seed):
         edges = [(i, i + 1) for i in range(n - 1)]
         topo = TopoMap(rng.normal(size=(n, d_obs)), None, edges, MapConfig())
         windows.append(TR.Sample(rng.normal(size=(steps, d_obs)), None, topo,
-                                 [int(rng.integers(n)) for _ in range(steps)], TR.REAL_LIKE))
+                                 [int(rng.integers(n)) for _ in range(steps)]))
     return windows
 
 
